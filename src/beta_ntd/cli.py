@@ -20,9 +20,7 @@ import numpy as np
 
 from . import segmentation as seg
 from . import tfb as tfb_mod
-from .divergence import objective
 from .errors import NumericalDomainError, ParseError
-from .reference import naive_iterate
 from .solver import FactorSet, SolverConfig, init_factors, iterate, solve
 from .tensor_ops import read_matrix, read_tensor, write_matrix, write_tensor
 
@@ -30,9 +28,6 @@ EXIT_OK = 0
 EXIT_ARGUMENT = 2
 EXIT_PARSE = 3
 EXIT_NUMERICAL = 4
-
-# Kronecker materialization guard for the naive benchmark path
-NAIVE_MAX_ELEMENTS = 4096
 
 
 def _version():
@@ -102,14 +97,26 @@ def _write_factors(out_dir, f):
     write_tensor(out_dir / "core.txt", f.core)
 
 
-def _read_init(init_dir):
+def _read_init(init_dir, data_dims, core_dims):
+    """Read a starting point and check every shape against the data and
+    --core-dims, so a mismatch fails before solving and names its file."""
     init_dir = Path(init_dir)
-    return FactorSet(
-        w=read_matrix(init_dir / "factor_w.txt"),
-        h=read_matrix(init_dir / "factor_h.txt"),
-        q=read_matrix(init_dir / "factor_q.txt"),
-        core=read_tensor(init_dir / "core.txt"),
-    )
+    parts = []
+    for name, read, shape in (
+        ("factor_w.txt", read_matrix, (data_dims[0], core_dims[0])),
+        ("factor_h.txt", read_matrix, (data_dims[1], core_dims[1])),
+        ("factor_q.txt", read_matrix, (data_dims[2], core_dims[2])),
+        ("core.txt", read_tensor, tuple(core_dims)),
+    ):
+        path = init_dir / name
+        part = read(path)
+        if part.shape != shape:
+            raise ValueError(
+                f"--init {path}: shape {part.shape} does not match {shape} "
+                "from the data and --core-dims"
+            )
+        parts.append(part)
+    return FactorSet(*parts)
 
 
 def _write_loss_trace(path, trace):
@@ -124,7 +131,7 @@ def cmd_decompose(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     x = read_tensor(args.tensor)
     cfg = _solver_config(args)
-    init = _read_init(args.init) if args.init else None
+    init = _read_init(args.init, x.shape, cfg.core_dims) if args.init else None
     clamp = {"auto": None, "yes": True, "no": False}[args.clamp_data]
     factors, trace = solve(x, cfg, init=init, clamp_data=clamp)
     _write_factors(out_dir, factors)
@@ -229,12 +236,6 @@ def cmd_bench(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     dims = _parse_triple(args.dims, "--dims")
     betas = [float(b) for b in args.betas.split(",")]
-    if args.allow_naive and int(np.prod(dims)) > NAIVE_MAX_ELEMENTS:
-        raise ValueError(
-            f"refusing the naive Kronecker path on dims {dims}: "
-            f"J*K*L={int(np.prod(dims))} exceeds {NAIVE_MAX_ELEMENTS}; "
-            "drop --allow-naive or shrink the problem"
-        )
     rng = np.random.default_rng(args.seed)
     x = rng.uniform(0.1, 1.0, dims)
     rows = []
@@ -248,38 +249,17 @@ def cmd_bench(args):
         )
         f = init_factors(dims, cfg)
         times = []
-        losses = []
         for _ in range(args.iters):
             start = time.perf_counter()
             f = iterate(x, f, cfg)
             times.append(time.perf_counter() - start)
-            losses.append(objective(x, f.approximation(), beta))
-        row = {
+        rows.append({
             "beta": beta,
             "mean_seconds": float(np.mean(times)),
             "min_seconds": float(np.min(times)),
-        }
-        if args.allow_naive:
-            fn = init_factors(dims, cfg)
-            naive_times = []
-            naive_losses = []
-            for _ in range(args.iters):
-                start = time.perf_counter()
-                fn = naive_iterate(x, fn, cfg)
-                naive_times.append(time.perf_counter() - start)
-                naive_losses.append(objective(x, fn.approximation(), beta))
-            reldiff = max(
-                abs(a - b) / max(abs(a), 1e-300)
-                for a, b in zip(losses, naive_losses)
-            )
-            row["naive_mean_seconds"] = float(np.mean(naive_times))
-            row["naive_min_seconds"] = float(np.min(naive_times))
-            row["naive_max_loss_reldiff"] = float(reldiff)
-        rows.append(row)
+        })
     with open(out_dir / "bench.txt", "w") as fh:
         keys = ["beta", "mean_seconds", "min_seconds"]
-        if args.allow_naive:
-            keys += ["naive_mean_seconds", "naive_min_seconds", "naive_max_loss_reldiff"]
         fh.write(" ".join(keys) + "\n")
         for row in rows:
             fh.write(" ".join(f"{row[k]:.17g}" for k in keys) + "\n")
@@ -295,8 +275,7 @@ def cmd_bench(args):
         "bench",
         {"dims": list(dims)},
         cfg,
-        {"betas": betas, "iters": args.iters, "allow_naive": args.allow_naive,
-         "results": rows},
+        {"betas": betas, "iters": args.iters, "results": rows},
         time.perf_counter() - t0,
     )
     return EXIT_OK
@@ -321,7 +300,9 @@ def build_parser():
     p = sub.add_parser("pipeline", help="spectrogram + bars -> TFB -> NTD -> boundaries")
     p.add_argument("spectrogram")
     p.add_argument("bars")
-    p.add_argument("--feature", choices=["mel", "nnlms"], default="nnlms")
+    p.add_argument("--feature", choices=["mel", "nnlms"], default="nnlms",
+                   help="nnlms: apply log(x + 1); mel: the input is already "
+                   "mel-scaled and is used as is")
     p.add_argument("--frames-per-bar", type=int, default=96)
     p.add_argument("--kernel-half-width", type=int, default=4)
     p.add_argument("--peak-threshold", type=float, default=1.0)
@@ -344,7 +325,6 @@ def build_parser():
     p.add_argument("--iters", type=int, default=10)
     p.add_argument("--epsilon", type=float, default=1e-12)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--allow-naive", action="store_true")
     p.add_argument("--out", required=True, metavar="DIR")
     p.set_defaults(func=cmd_bench)
 

@@ -7,8 +7,6 @@ Kullback-Leibler (beta = 1) and Itakura-Saito (beta = 0); the branch
 formulas are selected by exact equality on beta.
 """
 
-import math
-
 import numpy as np
 
 from .errors import NumericalDomainError
@@ -43,27 +41,10 @@ def beta_div(x, y, beta):
     float
         Nonnegative, zero iff x == y.
     """
-    x = float(x)
     y = float(y)
-    beta = float(beta)
     if y <= 0.0:
         raise NumericalDomainError(f"beta_div requires y > 0, got y={y}")
-    if x < 0.0:
-        raise NumericalDomainError(f"beta_div requires x >= 0, got x={x}")
-    if beta == 0.0:
-        if x == 0.0:
-            raise NumericalDomainError(
-                "beta_div with beta=0 is undefined at x=0"
-            )
-        r = x / y
-        return r - math.log(r) - 1.0
-    if beta == 1.0:
-        if x == 0.0:
-            return y
-        return x * math.log(x / y) + (y - x)
-    return (
-        x ** beta + (beta - 1.0) * y ** beta - beta * x * y ** (beta - 1.0)
-    ) / (beta * (beta - 1.0))
+    return objective(np.float64(x), np.float64(y), beta)
 
 
 def objective(x, approx, beta):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError
+from . import textio
 
 
 @dataclass
@@ -176,30 +176,11 @@ def evaluate_boundaries(est, ref, tolerance, exclude_endpoints=True):
 
 def read_boundaries(path):
     """One boundary time (seconds) per line, strictly increasing."""
-    times = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                t = float(line)
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: not a number: {line!r}") from None
-            if times and t <= times[-1]:
-                raise ParseError(
-                    f"{path}:{lineno}: boundary {t} not strictly increasing"
-                )
-            times.append(t)
-    if len(times) < 2:
-        raise ParseError(f"{path}: need at least 2 boundary times")
-    return BoundarySet(np.array(times))
+    return BoundarySet(textio.read_times(path))
 
 
 def write_boundaries(path, bset):
-    with open(path, "w") as fh:
-        for t in bset.times:
-            fh.write(f"{t:.17g}\n")
+    textio.write_rows(path, None, bset.times[:, None])
 
 
 def write_report(txt_path, json_path, report):

@@ -15,7 +15,8 @@ replaces them.
 
 import numpy as np
 
-from .errors import NumericalDomainError, ParseError
+from . import textio
+from .errors import NumericalDomainError
 
 _MODES = (1, 2, 3)
 
@@ -139,10 +140,13 @@ def contracted_unfolding(g, a, b, mode):
     product.
     """
     _check_mode(mode)
-    others = [m for m in _MODES if m != mode]
-    t = mode_product(g, a, others[0])
-    t = mode_product(t, b, others[1])
-    return matricize(t, mode)
+    g = _as_tensor3(g)
+    # (mode, lower, higher) @ b.T, then (mode, higher, lower) @ a.T: the
+    # lower mode ends up fastest, so a C-order reshape gives the unfolding
+    # without copying
+    t = np.moveaxis(g, mode - 1, 0) @ _as_matrix(b).T
+    t = np.swapaxes(t, 1, 2) @ _as_matrix(a).T
+    return t.reshape(t.shape[0], -1)
 
 
 def ew_power(x, p):
@@ -184,70 +188,24 @@ def clamp_min(x, eps):
 def write_tensor(path, t):
     """Write a tensor in the NTD-T3 v1 text format: a header line
     ``ntd-t3 J K L`` followed by the entries in C order (mode-1 index
-    slowest)."""
+    slowest), one (j, k) fibre per line."""
     t = _as_tensor3(t)
     j, k, l = t.shape
-    with open(path, "w") as fh:
-        fh.write(f"ntd-t3 {j} {k} {l}\n")
-        flat = t.reshape(j * k, l)
-        for row in flat:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+    textio.write_rows(path, f"ntd-t3 {j} {k} {l}", t.reshape(j * k, l))
 
 
 def read_tensor(path):
     """Read an NTD-T3 v1 file. Rejects NaN, infinities and negatives."""
-    with open(path) as fh:
-        header = fh.readline()
-        parts = header.split()
-        if len(parts) != 4 or parts[0] != "ntd-t3":
-            raise ParseError(f"{path}:1: expected header 'ntd-t3 J K L'")
-        try:
-            j, k, l = (int(p) for p in parts[1:])
-        except ValueError:
-            raise ParseError(f"{path}:1: non-integer dimensions in header") from None
-        if min(j, k, l) < 1:
-            raise ParseError(f"{path}:1: dimensions must be positive")
-        try:
-            data = np.array(fh.read().split(), dtype=np.float64)
-        except ValueError:
-            raise ParseError(f"{path}: malformed numeric data") from None
-    if data.size != j * k * l:
-        raise ParseError(
-            f"{path}: expected {j * k * l} values, found {data.size}"
-        )
-    if not np.all(np.isfinite(data)):
-        raise ParseError(f"{path}: non-finite values are not allowed")
-    if np.any(data < 0):
-        raise ParseError(f"{path}: negative values are not allowed")
-    return data.reshape(j, k, l)
+    return textio.read_array(path, ("ntd-t3",), 3, "ntd-t3 J K L")[0]
 
 
 def write_matrix(path, m):
     """Write a matrix as ``ntd-mat rows cols`` plus one row per line."""
     m = _as_matrix(m)
-    with open(path, "w") as fh:
-        fh.write(f"ntd-mat {m.shape[0]} {m.shape[1]}\n")
-        for row in m:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+    textio.write_rows(path, f"ntd-mat {m.shape[0]} {m.shape[1]}", m)
 
 
 def read_matrix(path):
-    """Read a matrix written by :func:`write_matrix`."""
-    with open(path) as fh:
-        header = fh.readline()
-        parts = header.split()
-        if len(parts) != 3 or parts[0] != "ntd-mat":
-            raise ParseError(f"{path}:1: expected header 'ntd-mat rows cols'")
-        try:
-            rows, cols = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise ParseError(f"{path}:1: non-integer dimensions in header") from None
-        try:
-            data = np.array(fh.read().split(), dtype=np.float64)
-        except ValueError:
-            raise ParseError(f"{path}: malformed numeric data") from None
-    if data.size != rows * cols:
-        raise ParseError(f"{path}: expected {rows * cols} values, found {data.size}")
-    if not np.all(np.isfinite(data)):
-        raise ParseError(f"{path}: non-finite values are not allowed")
-    return data.reshape(rows, cols)
+    """Read a matrix written by :func:`write_matrix`. Rejects NaN,
+    infinities and negatives."""
+    return textio.read_array(path, ("ntd-mat",), 2, "ntd-mat rows cols")[0]

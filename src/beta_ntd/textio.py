@@ -1,0 +1,89 @@
+"""
+The text scaffold shared by the package's file formats.
+
+Array files (tensors, matrices, spectrograms) are one header line of
+literal words, positive integer dimensions and optional further fields,
+then the entries in C order, whitespace-separated, one row per line.
+Time files (bar grids, boundary sets) hold one time in seconds per line.
+Values are written with 17 significant digits, so every float64 reads
+back exactly.
+"""
+
+import math
+
+import numpy as np
+
+from .errors import ParseError
+
+
+def read_array(path, magic, ndim, usage, extra=0):
+    """
+    Read an array file whose header is the words `magic`, `ndim` positive
+    integer dimensions and `extra` further fields; `usage` shows the
+    header in error messages. Every value must be finite and nonnegative.
+
+    Returns
+    -------
+    (ndarray of the header's shape, list of the extra header fields)
+    """
+    n = len(magic)
+    with open(path) as fh:
+        parts = fh.readline().split()
+        if len(parts) != n + ndim + extra or tuple(parts[:n]) != magic:
+            raise ParseError(f"{path}:1: expected header '{usage}'")
+        try:
+            dims = tuple(int(p) for p in parts[n : n + ndim])
+        except ValueError:
+            raise ParseError(f"{path}:1: non-integer dimensions in header") from None
+        if min(dims) < 1:
+            raise ParseError(f"{path}:1: dimensions must be positive")
+        # Keep the whole-file split. Freeing its large list of strings
+        # raises glibc's mmap threshold, so the solver's temporaries are
+        # then reused from the heap instead of being freshly mapped and
+        # page-faulted on every iteration.
+        try:
+            data = np.array(fh.read().split(), dtype=np.float64)
+        except ValueError:
+            raise ParseError(f"{path}: malformed numeric data") from None
+    size = math.prod(dims)
+    if data.size != size:
+        raise ParseError(f"{path}: expected {size} values, found {data.size}")
+    if not np.all(np.isfinite(data)):
+        raise ParseError(f"{path}: non-finite values are not allowed")
+    if np.any(data < 0):
+        raise ParseError(f"{path}: negative values are not allowed")
+    return data.reshape(dims), parts[n + ndim :]
+
+
+def write_rows(path, header, rows):
+    """Write an optional header line, then each row of the 2-D array
+    `rows` on its own line."""
+    line = " ".join(["%.17g"] * rows.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        if header is not None:
+            fh.write(header + "\n")
+        for row in rows:
+            fh.write(line % tuple(row.tolist()))
+
+
+def read_times(path):
+    """Read one time in seconds per line, strictly increasing, at least
+    two; blank lines are skipped."""
+    times = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                t = float(line)
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: not a number: {line!r}") from None
+            if times and t <= times[-1]:
+                raise ParseError(
+                    f"{path}:{lineno}: boundary {t} not strictly increasing"
+                )
+            times.append(t)
+    if len(times) < 2:
+        raise ParseError(f"{path}: need at least 2 boundary times")
+    return np.array(times)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import textio
 from .errors import ParseError
 
 
@@ -174,58 +175,26 @@ def build_tfb(spec, bars, frames_per_bar=96):
 def write_spectrogram(path, spec):
     """Header ``ntd-spec v1 <bands> <frames> <hop_seconds>`` then row-major
     values, one band per line."""
-    with open(path, "w") as fh:
-        fh.write(f"ntd-spec v1 {spec.bands} {spec.frames} {spec.hop_seconds:.17g}\n")
-        for row in spec.data:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+    header = f"ntd-spec v1 {spec.bands} {spec.frames} {spec.hop_seconds:.17g}"
+    textio.write_rows(path, header, spec.data)
 
 
 def read_spectrogram(path):
-    with open(path) as fh:
-        parts = fh.readline().split()
-        if len(parts) != 5 or parts[0] != "ntd-spec" or parts[1] != "v1":
-            raise ParseError(
-                f"{path}:1: expected header 'ntd-spec v1 <bands> <frames> <hop_seconds>'"
-            )
-        try:
-            bands, frames = int(parts[2]), int(parts[3])
-            hop = float(parts[4])
-        except ValueError:
-            raise ParseError(f"{path}:1: malformed header fields") from None
-        try:
-            data = np.array(fh.read().split(), dtype=np.float64)
-        except ValueError:
-            raise ParseError(f"{path}: malformed numeric data") from None
-    if data.size != bands * frames:
-        raise ParseError(f"{path}: expected {bands * frames} values, found {data.size}")
-    if not np.all(np.isfinite(data)) or np.any(data < 0):
-        raise ParseError(f"{path}: values must be finite and nonnegative")
-    return Spectrogram(data.reshape(bands, frames), hop)
+    data, (hop,) = textio.read_array(
+        path, ("ntd-spec", "v1"), 2,
+        "ntd-spec v1 <bands> <frames> <hop_seconds>", extra=1,
+    )
+    try:
+        hop = float(hop)
+    except ValueError:
+        raise ParseError(f"{path}:1: malformed header fields") from None
+    return Spectrogram(data, hop)
 
 
 def read_bars(path):
     """One boundary time (seconds) per line, strictly increasing."""
-    times = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                t = float(line)
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: not a number: {line!r}") from None
-            if times and t <= times[-1]:
-                raise ParseError(
-                    f"{path}:{lineno}: boundary {t} not strictly increasing"
-                )
-            times.append(t)
-    if len(times) < 2:
-        raise ParseError(f"{path}: need at least 2 boundary times")
-    return BarGrid(np.array(times))
+    return BarGrid(textio.read_times(path))
 
 
 def write_bars(path, bars):
-    with open(path, "w") as fh:
-        for t in bars.boundaries:
-            fh.write(f"{t:.17g}\n")
+    textio.write_rows(path, None, bars.boundaries[:, None])

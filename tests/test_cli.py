@@ -11,7 +11,7 @@ from beta_ntd.cli import (
     main,
 )
 from beta_ntd.solver import SolverConfig, init_factors
-from beta_ntd.tensor_ops import read_matrix, read_tensor, write_tensor
+from beta_ntd.tensor_ops import read_matrix, read_tensor, write_matrix, write_tensor
 from beta_ntd.tfb import BarGrid, Spectrogram, write_bars, write_spectrogram
 
 
@@ -21,6 +21,17 @@ def small_tensor(tmp_path):
     path = tmp_path / "x.txt"
     write_tensor(path, rng.uniform(0.1, 1.0, (5, 4, 3)))
     return path
+
+
+@pytest.fixture
+def init_dir(small_tensor, tmp_path):
+    """A decompose run's output directory at core 2,2,2, usable as --init."""
+    out = tmp_path / "init"
+    assert main([
+        "decompose", str(small_tensor), "--core-dims", "2,2,2",
+        "--max-iters", "2", "--out", str(out),
+    ]) == EXIT_OK
+    return out
 
 
 class TestDecompose:
@@ -72,8 +83,6 @@ class TestDecompose:
         init_dir = tmp_path / "init"
         init_dir.mkdir()
         rng = np.random.default_rng(12)
-        from beta_ntd.tensor_ops import write_matrix
-
         write_matrix(init_dir / "factor_w.txt", planted.w * (1 + 0.01 * rng.random(planted.w.shape)))
         write_matrix(init_dir / "factor_h.txt", planted.h * (1 + 0.01 * rng.random(planted.h.shape)))
         write_matrix(init_dir / "factor_q.txt", planted.q * (1 + 0.01 * rng.random(planted.q.shape)))
@@ -89,6 +98,48 @@ class TestDecompose:
         first = float(lines[0].split()[1])
         last = float(lines[-1].split()[1])
         assert last <= 1e-4 * first
+
+    @pytest.mark.parametrize("dims, core_dims, bad_file", [
+        ((6, 4, 3), "2,2,2", "factor_w.txt"),
+        ((5, 4, 3), "2,2,3", "factor_q.txt"),
+    ])
+    def test_init_shape_mismatch_names_file(
+        self, init_dir, tmp_path, capsys, dims, core_dims, bad_file
+    ):
+        x_path = tmp_path / "x2.txt"
+        write_tensor(x_path, np.ones(dims))
+        capsys.readouterr()
+        rc = main([
+            "decompose", str(x_path), "--core-dims", core_dims,
+            "--init", str(init_dir), "--out", str(tmp_path / "o"),
+        ])
+        assert rc == EXIT_ARGUMENT
+        err = capsys.readouterr().err
+        assert "--init" in err and bad_file in err
+
+    def test_manifest_core_dims_match_init(self, small_tensor, init_dir, tmp_path):
+        out = tmp_path / "out"
+        rc = main([
+            "decompose", str(small_tensor), "--core-dims", "2,2,2",
+            "--max-iters", "3", "--init", str(init_dir), "--out", str(out),
+        ])
+        assert rc == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["core_dims"] == list(read_tensor(init_dir / "core.txt").shape)
+        assert main([
+            "decompose", str(small_tensor), "--init", str(init_dir),
+            "--out", str(tmp_path / "o"),
+        ]) == EXIT_ARGUMENT
+
+    def test_init_negative_factor_rejected(self, small_tensor, init_dir, tmp_path):
+        w = read_matrix(init_dir / "factor_w.txt")
+        w[0, 0] = -w[0, 0]
+        write_matrix(init_dir / "factor_w.txt", w)
+        rc = main([
+            "decompose", str(small_tensor), "--core-dims", "2,2,2",
+            "--init", str(init_dir), "--out", str(tmp_path / "o"),
+        ])
+        assert rc == EXIT_PARSE
 
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -226,27 +277,6 @@ class TestEval:
 
 
 class TestBench:
-    def test_small_bench_with_naive(self, tmp_path):
-        out = tmp_path / "out"
-        rc = main([
-            "bench", "--dims", "8,8,8", "--core-dims", "2,2,2", "--betas", "1,2",
-            "--iters", "5", "--allow-naive", "--out", str(out),
-        ])
-        assert rc == EXIT_OK
-        lines = (out / "bench.txt").read_text().splitlines()
-        header = lines[0].split()
-        assert "naive_max_loss_reldiff" in header
-        idx = header.index("naive_max_loss_reldiff")
-        for line in lines[1:]:
-            assert float(line.split()[idx]) <= 1e-10
-
-    def test_refuses_naive_on_large_dims(self, tmp_path):
-        rc = main([
-            "bench", "--dims", "80,96,100", "--allow-naive",
-            "--out", str(tmp_path / "o"),
-        ])
-        assert rc == EXIT_ARGUMENT
-
     def test_bench_without_naive(self, tmp_path):
         out = tmp_path / "out"
         rc = main([

@@ -14,8 +14,11 @@ from beta_ntd.tensor_ops import (
     multiway_product,
     read_tensor,
     safe_divide,
+    write_matrix,
     write_tensor,
 )
+from beta_ntd.segmentation import BoundarySet, write_boundaries
+from beta_ntd.tfb import BarGrid, Spectrogram, write_bars, write_spectrogram
 
 from oracles import (
     kron_contracted_unfolding,
@@ -265,3 +268,31 @@ class TestTensorFile:
         path.write_text("ntd-t3 1 1 3\n1.0 1.0\n")
         with pytest.raises(ParseError):
             read_tensor(path)
+
+
+def test_text_byte_format(tmp_path):
+    # header line, then .17g values separated by single spaces, one row per
+    # line; times one per line
+    third = 1 / 3
+    cases = [
+        (write_tensor, np.array([[[0.1, 1e-12], [third, 2.0]]]),
+         "ntd-t3 1 2 2\n"
+         "0.10000000000000001 9.9999999999999998e-13\n"
+         "0.33333333333333331 2\n"),
+        (write_matrix, np.array([[0.1, 1e-12, third], [0.0, 1.0, 2.5]]),
+         "ntd-mat 2 3\n"
+         "0.10000000000000001 9.9999999999999998e-13 0.33333333333333331\n"
+         "0 1 2.5\n"),
+        (write_spectrogram, Spectrogram(np.array([[0.1, 1e-12], [third, 0.0]]), 0.1),
+         "ntd-spec v1 2 2 0.10000000000000001\n"
+         "0.10000000000000001 9.9999999999999998e-13\n"
+         "0.33333333333333331 0\n"),
+        (write_bars, BarGrid([0.1, third, 2.0]),
+         "0.10000000000000001\n0.33333333333333331\n2\n"),
+        (write_boundaries, BoundarySet([0.1, third, 2.0]),
+         "0.10000000000000001\n0.33333333333333331\n2\n"),
+    ]
+    for i, (write, value, expected) in enumerate(cases):
+        path = tmp_path / f"{i}.txt"
+        write(path, value)
+        assert path.read_text() == expected, write.__name__
