@@ -11,6 +11,7 @@ domain error.
 
 import argparse
 import json
+import os
 import sys
 import time
 from importlib.metadata import PackageNotFoundError, version
@@ -67,6 +68,22 @@ def _add_solver_flags(p):
     p.add_argument("--seed", type=int, default=0)
 
 
+def _environment():
+    """Interpreter, numpy and BLAS versions and the BLAS thread settings;
+    nothing that changes between reruns in the same environment."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": "%d.%d.%d" % sys.version_info[:3],
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "threads": {k: os.environ.get(k) for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+    }
+
+
+def _stop_reason(trace):
+    return "budget" if trace.converged_at is None else "tolerance"
+
+
 def _write_manifest(out_dir, command, inputs, cfg, extra, elapsed):
     manifest = {
         "command": command,
@@ -83,6 +100,7 @@ def _write_manifest(out_dir, command, inputs, cfg, extra, elapsed):
         else None,
         "wall_seconds": elapsed,
         "version": _version(),
+        "environment": _environment(),
     }
     manifest.update(extra)
     with open(out_dir / "manifest.json", "w") as fh:
@@ -146,6 +164,7 @@ def cmd_decompose(args):
             "final_loss": trace.losses[-1],
             "iterations": len(trace.iter_times),
             "converged_at": trace.converged_at,
+            "stop_reason": _stop_reason(trace),
         },
         time.perf_counter() - t0,
     )
@@ -190,6 +209,7 @@ def cmd_pipeline(args):
             "kernel_half_width": args.kernel_half_width,
             "peak_threshold": args.peak_threshold,
             "final_loss": trace.losses[-1],
+            "stop_reason": _stop_reason(trace),
             "boundary_count": int(boundaries.times.size),
         },
         time.perf_counter() - t0,
@@ -275,7 +295,7 @@ def cmd_bench(args):
         "bench",
         {"dims": list(dims)},
         cfg,
-        {"betas": betas, "iters": args.iters, "results": rows},
+        {"betas": betas, "iters": args.iters, "results": rows, "stop_reason": "budget"},
         time.perf_counter() - t0,
     )
     return EXIT_OK

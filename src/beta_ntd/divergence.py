@@ -11,6 +11,8 @@ import numpy as np
 
 from .errors import NumericalDomainError
 
+_TINY = np.finfo(np.float64).tiny
+
 
 def gamma_exponent(beta):
     """Exponent applied to the multiplicative-update ratio: 1/(2-beta) for
@@ -52,40 +54,54 @@ def objective(x, approx, beta):
     Sum of the elementwise beta-divergence between two same-shaped
     nonnegative tensors.
 
-    For beta <= 1 every entry of `approx` must be strictly positive, and
-    for beta = 0 every entry of `x` as well; offending indices are
-    reported in the error.
+    The inputs must pass :func:`check_domain`, whose error names the
+    offending index.
     """
     x = np.asarray(x, dtype=np.float64)
     approx = np.asarray(approx, dtype=np.float64)
     beta = float(beta)
     if x.shape != approx.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {approx.shape}")
-    if np.any(x < 0):
-        idx = tuple(int(i) for i in np.unravel_index(int(np.argmin(x)), x.shape))
-        raise NumericalDomainError(f"negative data entry at index {idx}")
-    if beta <= 1.0 and np.any(approx <= 0):
-        idx = tuple(int(i) for i in np.unravel_index(int(np.argmin(approx)), approx.shape))
-        raise NumericalDomainError(
-            f"approximation entry <= 0 at index {idx} with beta={beta}"
-        )
+    check_domain(x, approx, beta)
+    return unchecked_objective(x, approx, beta)
+
+
+def check_domain(x, approx, beta):
+    """Raise NumericalDomainError at the first index where the divergence of
+    `x` from `approx` (None: `x` alone) is undefined: `x` not finite or
+    negative, `x` zero where beta <= 0, `approx` <= 0 where beta <= 1."""
+    for bad, what in (
+        (~np.isfinite(x), "non-finite data entry"),
+        (x < 0, "negative data entry"),
+        (x == 0 if beta <= 0 else None, f"data entry 0 (undefined at beta={beta:g})"),
+        (approx <= 0 if approx is not None and beta <= 1 else None,
+         f"approximation entry <= 0 with beta={beta:g}"),
+    ):
+        if bad is not None and bad.any():
+            idx = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
+            raise NumericalDomainError(f"{what} at index {idx}")
+
+
+def unchecked_objective(x, approx, beta):
+    """:func:`objective` without its checks, for callers that checked once
+    that `x` is finite and nonnegative (positive at beta=0), `approx`
+    positive where beta <= 1, and both are same-shaped float arrays."""
+    # one scratch array: a fresh large temporary costs more in page faults
+    # than the arithmetic done in it
+    r = np.empty(np.shape(x))
     if beta == 0.0:
-        if np.any(x == 0):
-            idx = tuple(int(i) for i in np.unravel_index(int(np.argmax(x == 0)), x.shape))
-            raise NumericalDomainError(
-                f"data entry 0 at index {idx}: beta=0 divergence undefined"
-            )
-        r = x / approx
-        return float(np.sum(r) - np.sum(np.log(r)) - x.size)
+        np.divide(x, approx, out=r)
+        total = np.sum(r)
+        return float(total - np.sum(np.log(r, out=r)) - x.size)
     if beta == 1.0:
-        # 0 * log(0) = 0 convention for zero data entries
-        xlog = x * np.log(np.where(x > 0, x, 1.0) / approx)
-        return float(np.sum(np.where(x > 0, xlog, 0.0)) + np.sum(approx - x))
+        # 0 * log(0) = 0: zero entries enter the logarithm as the smallest
+        # normal float, which their zero weight cancels
+        np.maximum(x, _TINY, out=r)
+        r /= approx
+        return float(np.vdot(x, np.log(r, out=r)) + np.sum(approx) - np.sum(x))
+    total = np.sum(np.power(x, beta, out=r))
+    power = np.power(approx, beta - 1.0, out=r)
     return float(
-        np.sum(
-            x ** beta
-            + (beta - 1.0) * approx ** beta
-            - beta * x * approx ** (beta - 1.0)
-        )
+        (total + (beta - 1.0) * np.vdot(power, approx) - beta * np.vdot(x, power))
         / (beta * (beta - 1.0))
     )

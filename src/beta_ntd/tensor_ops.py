@@ -1,13 +1,15 @@
 """
 Dense third-order tensor operations: matricization, folding, mode-n
-products and the contracted unfoldings used by the multiplicative-update
-solver.
+products, contracted unfoldings, and the tensor and matrix file formats.
 
 Tensors are plain numpy arrays with ``ndim == 3`` and matrices are 2D
 arrays. Data is stored in C order, i.e. the mode-1 index varies slowest.
 Unfoldings follow the convention where the column index of the mode-n
 unfolding runs over the remaining modes with the lower-numbered mode
-varying fastest.
+varying fastest; that order is not the C layout's in any mode,
+so :func:`matricize` copies. The solver does not unfold: it works on
+C-order reshapes of the data with bases built in the same column order
+(see :mod:`beta_ntd.solver`).
 
 Kronecker products are never formed here; the contracted-unfolding route
 replaces them.

@@ -33,8 +33,8 @@ class Spectrogram:
             raise ValueError(f"spectrogram data must be 2D, got ndim={self.data.ndim}")
         if np.any(self.data < 0):
             raise ValueError("spectrogram data must be nonnegative")
-        if self.hop_seconds <= 0:
-            raise ValueError(f"hop_seconds must be positive, got {self.hop_seconds}")
+        if not (np.isfinite(self.hop_seconds) and self.hop_seconds > 0):
+            raise ValueError(f"hop_seconds must be finite and positive, got {self.hop_seconds}")
 
     @property
     def bands(self):
@@ -188,6 +188,8 @@ def read_spectrogram(path):
         hop = float(hop)
     except ValueError:
         raise ParseError(f"{path}:1: malformed header fields") from None
+    if not (np.isfinite(hop) and hop > 0):
+        raise ParseError(f"{path}:1: hop_seconds must be finite and positive, got {hop}")
     return Spectrogram(data, hop)
 
 

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -51,6 +52,34 @@ class TestDecompose:
         trace = (out / "loss_trace.txt").read_text().splitlines()
         losses = [float(line.split()[1]) for line in trace]
         assert all(b <= a * (1 + 1e-10) for a, b in zip(losses, losses[1:]))
+
+    @pytest.mark.parametrize("rel_tol, reason", [("0", "budget"), ("0.5", "tolerance")])
+    def test_manifest_stop_reason(self, small_tensor, tmp_path, rel_tol, reason):
+        out = tmp_path / "out"
+        rc = main([
+            "decompose", str(small_tensor), "--core-dims", "2,2,2",
+            "--max-iters", "50", "--rel-tol", rel_tol, "--out", str(out),
+        ])
+        assert rc == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["stop_reason"] == reason
+        assert (manifest["converged_at"] is None) == (reason == "budget")
+
+    def test_manifest_environment(self, small_tensor, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        out = tmp_path / "out"
+        rc = main([
+            "decompose", str(small_tensor), "--core-dims", "2,2,2",
+            "--max-iters", "1", "--out", str(out),
+        ])
+        assert rc == EXIT_OK
+        env = json.loads((out / "manifest.json").read_text())["environment"]
+        assert env["python"] == "%d.%d.%d" % sys.version_info[:3]
+        assert env["numpy"] == np.__version__
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert env["blas"] == {"name": blas["name"], "version": blas["version"]}
+        assert env["threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None}
 
     def test_max_iters_zero_equals_init(self, small_tensor, tmp_path):
         out = tmp_path / "out"
@@ -178,6 +207,16 @@ def synthetic_song(tmp_path, seed=0, nbars=16, seam_every=8):
 
 
 class TestPipeline:
+    @pytest.mark.parametrize("hop", ["nan", "inf"])
+    def test_non_finite_hop_exit_code(self, tmp_path, hop, capsys):
+        spec_path, bars_path = synthetic_song(tmp_path)
+        lines = spec_path.read_text().split("\n", 1)
+        header = lines[0].rsplit(" ", 1)[0]
+        spec_path.write_text(f"{header} {hop}\n{lines[1]}")
+        rc = main(["pipeline", str(spec_path), str(bars_path), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_PARSE
+        assert f"{spec_path}:1:" in capsys.readouterr().err
+
     def test_planted_seam_found(self, tmp_path):
         spec_path, bars_path = synthetic_song(tmp_path, seed=1)
         out = tmp_path / "out"

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import beta_ntd.solver
 from beta_ntd.divergence import objective
+from beta_ntd.errors import NumericalDomainError
 from beta_ntd.solver import (
     FactorSet,
     SolverConfig,
@@ -13,7 +17,7 @@ from beta_ntd.solver import (
     update_mode_factor,
 )
 
-from oracles import kron_update_core, kron_update_factor
+from oracles import kron_multiway, kron_update_core, kron_update_factor
 from beta_ntd.tensor_ops import matricize
 
 
@@ -162,6 +166,10 @@ class TestIterate:
                 assert arr.min() >= cfg.epsilon
 
 
+def _no_iterate(*args):
+    raise AssertionError("solve iterated on data outside the domain")
+
+
 class TestSolve:
     def test_planted_recovery(self):
         planted, x = planted_instance((8, 7, 6), (2, 2, 2), seed=19)
@@ -202,6 +210,22 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(x, SolverConfig(core_dims=(1, 1, 1)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_data_before_iterating(self, bad, monkeypatch):
+        monkeypatch.setattr(beta_ntd.solver, "iterate", _no_iterate)
+        x = np.ones((3, 4, 2))
+        x[1, 2, 0] = bad
+        with pytest.raises(NumericalDomainError, match=r"non-finite data entry at index \(1, 2, 0\)"):
+            solve(x, SolverConfig(core_dims=(1, 1, 1)))
+
+    def test_rejects_unclamped_zero_data_at_beta0_before_iterating(self, monkeypatch):
+        monkeypatch.setattr(beta_ntd.solver, "iterate", _no_iterate)
+        x = np.ones((3, 4, 2))
+        x[2, 0, 1] = 0.0
+        cfg = SolverConfig(beta=0.0, core_dims=(1, 1, 1))
+        with pytest.raises(NumericalDomainError, match=r"data entry 0 .* at index \(2, 0, 1\)"):
+            solve(x, cfg, clamp_data=False)
+
     def test_beta_le_one_clamps_zero_data_by_default(self):
         x = np.zeros((3, 3, 3))
         x[0, 0, 0] = 1.0
@@ -240,3 +264,57 @@ def test_config_validation():
         SolverConfig(rel_tol=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(loss_eval_period=0)
+
+
+BETAS = [0.0, 0.5, 1.0, 1.5, 2.0, 3.0]
+
+
+@st.composite
+def instances(draw):
+    """Data dims 1-7 per mode, core dims from 1 up to the data dims, a
+    beta, seeded data and factors."""
+    dims = tuple(draw(st.integers(1, 7)) for _ in range(3))
+    core_dims = tuple(draw(st.integers(1, d)) for d in dims)
+    beta = draw(st.sampled_from(BETAS))
+    seed = draw(st.integers(0, 2**32 - 1))
+    cfg = SolverConfig(beta=beta, core_dims=core_dims, seed=seed)
+    x = np.random.default_rng(seed).uniform(0.05, 1.0, dims)
+    return x, init_factors(dims, cfg), cfg
+
+
+def _instance(dims, core_dims, beta, seed=0):
+    cfg = SolverConfig(beta=beta, core_dims=core_dims, seed=seed)
+    return np.random.default_rng(seed).uniform(0.05, 1.0, dims), init_factors(dims, cfg), cfg
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances())
+@example(_instance((1, 5, 1), (1, 3, 1), 1.0))
+@example(_instance((4, 3, 5), (4, 3, 5), 0.0))
+@example(_instance((7, 1, 6), (7, 1, 6), 3.0))
+def test_updates_match_kron_oracle_property(inst):
+    x, f, cfg = inst
+    for mode in (1, 2, 3):
+        ours = update_mode_factor(x, f, mode, cfg)
+        oracle = kron_update_factor(x, f, mode, cfg.beta, cfg.epsilon, matricize)
+        np.testing.assert_allclose(ours, oracle, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(
+        update_core(x, f, cfg), kron_update_core(x, f, cfg.beta, cfg.epsilon),
+        rtol=1e-12, atol=0,
+    )
+    np.testing.assert_allclose(
+        f.approximation(), kron_multiway(f.core, f.w, f.h, f.q), rtol=1e-12, atol=0
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances(), st.integers(1, 6))
+@example(_instance((1, 1, 1), (1, 1, 1), 0.0), 3)
+@example(_instance((6, 2, 7), (6, 2, 7), 1.0), 5)
+def test_solve_last_loss_matches_public_objective(inst, iters):
+    x, init, cfg = inst
+    cfg = replace(cfg, max_iters=iters, rel_tol=0.0)
+    f, trace = solve(x, cfg, init=init)
+    x_used = np.maximum(x, cfg.epsilon) if cfg.beta <= 1 else x
+    expected = objective(x_used, f.approximation(), cfg.beta)
+    assert trace.losses[-1] == pytest.approx(expected, rel=1e-12, abs=0)

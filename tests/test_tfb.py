@@ -180,6 +180,13 @@ class TestFiles:
         with pytest.raises(ParseError):
             read_spectrogram(path)
 
+    @pytest.mark.parametrize("hop", ["nan", "inf", "-inf", "0", "-0.1"])
+    def test_spectrogram_rejects_bad_hop(self, tmp_path, hop):
+        path = tmp_path / "s.txt"
+        path.write_text(f"ntd-spec v1 2 6 {hop}\n" + "1 2 3 4 5 6\n" * 2)
+        with pytest.raises(ParseError, match=r"s\.txt:1: hop_seconds"):
+            read_spectrogram(path)
+
     def test_bars_roundtrip(self, tmp_path):
         bars = BarGrid([0.0, 1.5, 3.25])
         path = tmp_path / "b.txt"
@@ -200,3 +207,9 @@ def test_bargrid_validation():
         BarGrid([0.0, 0.0])
     with pytest.raises(ValueError):
         BarGrid([-1.0, 1.0])
+
+
+@pytest.mark.parametrize("hop", [float("nan"), float("inf"), 0.0, -1.0])
+def test_spectrogram_rejects_bad_hop(hop):
+    with pytest.raises(ValueError, match="hop_seconds"):
+        Spectrogram(np.ones((2, 3)), hop)
