@@ -12,6 +12,7 @@ domain error.
 import argparse
 import json
 import os
+import platform
 import sys
 import time
 from importlib.metadata import PackageNotFoundError, version
@@ -69,19 +70,27 @@ def _add_solver_flags(p):
 
 
 def _environment():
-    """Interpreter, numpy and BLAS versions and the BLAS thread settings;
-    nothing that changes between reruns in the same environment."""
+    """Interpreter, numpy and BLAS versions, the BLAS thread settings and
+    the CPU model; nothing that changes between reruns on one machine."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    try:
+        with open("/proc/cpuinfo") as fh:
+            cpu = next(ln.split(":", 1)[1].strip() for ln in fh if ln.startswith("model name"))
+    except (OSError, StopIteration):
+        cpu = platform.machine()
     return {
         "python": "%d.%d.%d" % sys.version_info[:3],
         "numpy": np.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "threads": {k: os.environ.get(k) for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+        "cpu": cpu,
     }
 
 
 def _stop_reason(trace):
-    return "budget" if trace.converged_at is None else "tolerance"
+    if trace.converged_at is None:
+        return "budget"
+    return "loss-increase" if trace.losses[-1] > trace.losses[-2] else "tolerance"
 
 
 def _write_manifest(out_dir, command, inputs, cfg, extra, elapsed):

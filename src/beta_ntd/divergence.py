@@ -82,26 +82,34 @@ def check_domain(x, approx, beta):
             raise NumericalDomainError(f"{what} at index {idx}")
 
 
-def unchecked_objective(x, approx, beta):
+def data_term(x, beta, out=None):
+    """The objective's sum over `x` alone (None at beta=0); `out` takes x**beta."""
+    if beta == 0.0:
+        return None
+    return np.sum(x) if beta == 1.0 else np.sum(np.power(x, beta, out=out))
+
+
+def unchecked_objective(x, approx, beta, out=None, x_term=None):
     """:func:`objective` without its checks, for callers that checked once
     that `x` is finite and nonnegative (positive at beta=0), `approx`
-    positive where beta <= 1, and both are same-shaped float arrays."""
+    positive where beta <= 1, and both are same-shaped float arrays; the
+    scratch `out` and ``x_term = data_term(x, beta)`` are made if omitted."""
     # one scratch array: a fresh large temporary costs more in page faults
     # than the arithmetic done in it
-    r = np.empty(np.shape(x))
+    r = np.empty(np.shape(x)) if out is None else out
     if beta == 0.0:
         np.divide(x, approx, out=r)
         total = np.sum(r)
         return float(total - np.sum(np.log(r, out=r)) - x.size)
+    x_term = data_term(x, beta, r) if x_term is None else x_term
     if beta == 1.0:
         # 0 * log(0) = 0: zero entries enter the logarithm as the smallest
         # normal float, which their zero weight cancels
         np.maximum(x, _TINY, out=r)
         r /= approx
-        return float(np.vdot(x, np.log(r, out=r)) + np.sum(approx) - np.sum(x))
-    total = np.sum(np.power(x, beta, out=r))
+        return float(np.vdot(x, np.log(r, out=r)) + np.sum(approx) - x_term)
     power = np.power(approx, beta - 1.0, out=r)
     return float(
-        (total + (beta - 1.0) * np.vdot(power, approx) - beta * np.vdot(x, power))
+        (x_term + (beta - 1.0) * np.vdot(power, approx) - beta * np.vdot(x, power))
         / (beta * (beta - 1.0))
     )

@@ -24,11 +24,8 @@ class BoundarySet:
     times: np.ndarray
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=np.float64)
-        if self.times.ndim != 1 or self.times.size < 2:
-            raise ValueError("boundary set needs at least 2 times")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("boundary times must be strictly increasing")
+        self.times = textio.increasing_times(self.times, "boundary set needs at least 2 times",
+                                             "boundary times must be strictly increasing")
 
 
 @dataclass

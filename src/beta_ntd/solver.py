@@ -6,12 +6,12 @@ One outer loop updates the mode factors W, H, Q in order (each consuming
 the freshest factors) and then the core, every update ending with an
 elementwise maximum against a small constant so entries never reach zero.
 
-Products work on C-order views of the data X (J x K x L): mode 1 on
-``X.reshape(J, K*L)``, modes 2 and 3 and the core on ``X.reshape(J*K, L)``,
-contracted with Q first for mode 2 and the core. Each contracted basis is
-built in the matching column order at core or factor size, so no unfolding
-of X and no Kronecker product is ever formed. `solve` checks the data's
-domain once; in the loop every entry is at least epsilon.
+Products work on the C-order view ``X.reshape(J*K, L)`` of the data X
+(J x K x L), modelled by the mode-3 basis W (H G) times Q^T. At beta=2 the
+updates are in Gram form and never build the model; at other beta the model
+and the MU terms go into a workspace that `solve` makes once, so its loop
+allocates nothing of the data's size. `solve` checks the data's domain
+once; in the loop every entry is at least epsilon.
 """
 
 import time
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # solve checks the data once, so the loss it evaluates needs no domain scans
-from .divergence import check_domain, gamma_exponent, unchecked_objective as objective
+from .divergence import check_domain, data_term, gamma_exponent, unchecked_objective as objective
 from .errors import NumericalDomainError
 
 # contracted_unfolding, ew_power, matricize and multiway_product go unused
@@ -76,9 +76,10 @@ class FactorSet:
     def copy(self):
         return FactorSet(self.w.copy(), self.h.copy(), self.q.copy(), self.core.copy())
 
-    def approximation(self):
+    def approximation(self, out=None):
+        """The model as a J x K x L array; a view of the (J*K) x L `out` if given."""
         shape = (self.w.shape[0], self.h.shape[0], self.q.shape[0])
-        return (_mode3_basis(self) @ self.q.T).reshape(shape)
+        return np.matmul(_mode3_basis(self), self.q.T, out=out).reshape(shape)
 
 
 @dataclass
@@ -106,6 +107,22 @@ def init_factors(data_dims, cfg):
     )
 
 
+class _Workspace:
+    """(J*K) x L model and scratch buffers for data `x`, the FactorSet whose
+    model `m3` holds, and ``X.reshape(J*K, L) @ Q`` for the last Q asked for."""
+
+    def __init__(self, x):
+        self.x3 = x.reshape(-1, x.shape[2])
+        self.m3, self.scratch = np.empty(self.x3.shape), np.empty(x.shape)
+        self.s3 = self.scratch.reshape(self.x3.shape)
+        self.model_of = self._q = self._xq = None
+
+    def xq(self, q):
+        if self._q is not q:
+            self._xq, self._q = self.x3 @ q, q
+        return self._xq
+
+
 def _mode3_basis(f):
     """(J*K) x L' basis whose row j*K + k is sum_ab W[j,a] H[k,b] G[a,b,:],
     so that ``X.reshape(J*K, L)`` is modelled by ``basis @ Q.T``."""
@@ -114,17 +131,23 @@ def _mode3_basis(f):
     return (f.w @ hg.reshape(jc, -1)).reshape(-1, lc)
 
 
-def _mu_terms(m, uv, beta):
-    """The arrays whose contractions with the basis give the MU numerator
-    and denominator for data M modelled by UV, overwriting `uv`. At beta=1
-    the denominator's array is all ones, returned as None."""
+def _mu_terms(f, ws, beta, basis=None):
+    """Overwrite the workspace with the arrays whose contractions give the
+    MU numerator and denominator for the model of `f` (built from `basis`
+    unless held already); at beta=1 the latter is all ones, returned as None."""
+    m, s, x = ws.m3, ws.s3, ws.x3
+    if ws.model_of is not f:
+        np.matmul(_mode3_basis(f) if basis is None else basis, f.q.T, out=m)
+    ws.model_of = None
     if beta == 1.0:
-        return np.divide(m, uv, out=uv), None
-    if beta == 2.0:
-        return m, uv
-    p = uv ** (beta - 2.0)
-    np.multiply(p, uv, out=uv)
-    return np.multiply(p, m, out=p), uv
+        return np.divide(x, m, out=m), None
+    if beta == 0.0:  # x / uv**2 and 1 / uv
+        np.reciprocal(m, out=s)
+        np.multiply(x, s, out=m)
+        return np.multiply(m, s, out=m), s
+    np.power(m, beta - 2.0, out=s)
+    np.multiply(m, s, out=m)
+    return np.multiply(s, x, out=s), m
 
 
 def _scale(u, num, den, cfg):
@@ -136,64 +159,75 @@ def _scale(u, num, den, cfg):
     return clamp_min(u * ratio, cfg.epsilon)
 
 
-def update_mode_factor(x, f, mode, cfg):
-    """One multiplicative update of the factor for `mode`, with the data
-    and the contracted basis in matching C-order layouts."""
+def update_mode_factor(x, f, mode, cfg, ws=None):
+    """One multiplicative update of the factor for `mode`. `ws` is the
+    workspace of `solve`; a call without one makes its own."""
+    ws = _Workspace(x) if ws is None else ws
     j, k, l = x.shape
     jc, kc, lc = f.core.shape
-    if mode == 1:
-        # x.reshape(J, K*L) ~ W V, V[a, k*L + l] = sum_bc H[k,b] G[a,b,c] Q[l,c]
-        v = (np.matmul(f.h, f.core).reshape(-1, lc) @ f.q.T).reshape(jc, -1)
-        n, d = _mu_terms(x.reshape(j, -1), f.w @ v, cfg.beta)
-        den = v.sum(axis=1) if d is None else d @ v.T
-        return _scale(f.w, n @ v.T, den, cfg)
-    if mode == 2:
-        # x[j] ~ H V[j], V[j, b, l] = sum_c WG[j,b,c] Q[l,c] with WG = W x_1 G;
-        # contracting with Q first keeps every product one GEMM, where J
-        # per-slice matmuls would each wait on the BLAS threads
-        wg = (f.w @ f.core.reshape(jc, -1)).reshape(j, kc, lc).transpose(1, 0, 2)
-        wg_rows = wg.reshape(kc, -1)  # K' x (J*L'), a copy at factor-times-core size
-        n, d = _mu_terms(x.reshape(-1, l), _mode3_basis(f) @ f.q.T, cfg.beta)
-
-        def contract(t):  # (J*K) x L -> K x K', copying at J x K x L' size
-            return (t @ f.q).reshape(j, k, lc).transpose(1, 0, 2).reshape(k, -1) @ wg_rows.T
-
-        den = wg.sum(axis=1) @ f.q.sum(axis=0) if d is None else contract(d)
-        return _scale(f.h, contract(n), den, cfg)
     if mode == 3:
         # x.reshape(J*K, L) ~ V Q^T with V the mode-3 basis
         v = _mode3_basis(f)
-        n, d = _mu_terms(x.reshape(-1, l), v @ f.q.T, cfg.beta)
-        den = v.sum(axis=0) if d is None else d.T @ v
-        return _scale(f.q, n.T @ v, den, cfg)
-    raise ValueError(f"mode must be 1, 2 or 3, got {mode!r}")
+        if cfg.beta == 2.0:
+            return _scale(f.q, ws.x3.T @ v, f.q @ (v.T @ v), cfg)
+        n, d = _mu_terms(f, ws, cfg.beta, v)
+        return _scale(f.q, n.T @ v, v.sum(axis=0) if d is None else d.T @ v, cfg)
+    # x ~ U V with V[a,n,l] = sum_c B[a,n,c] Q[l,c]: contract T with Q, then B
+    if mode == 1:  # B = H x_2 G, J' x K x L'
+        u, b = f.w, np.matmul(f.h, f.core)
+        rows = b.reshape(jc, -1)
+
+        def contract(tq):  # (J*K) x L' -> J x J'
+            return tq.reshape(j, -1) @ rows.T
+    elif mode == 2:
+        # B = W x_1 G, K' x J x L'; one GEMM per product, where J per-slice
+        # matmuls would each wait on the BLAS threads
+        u, b = f.h, (f.w @ f.core.reshape(jc, -1)).reshape(j, kc, lc).transpose(1, 0, 2)
+        rows = b.reshape(kc, -1)  # a copy at factor-times-core size
+
+        def contract(tq):  # (J*K) x L' -> K x K', copying at J x K x L' size
+            return tq.reshape(j, k, lc).transpose(1, 0, 2).reshape(k, -1) @ rows.T
+    else:
+        raise ValueError(f"mode must be 1, 2 or 3, got {mode!r}")
+    if cfg.beta == 2.0:  # V V^T = B (Q^T Q) B^T, at core size
+        den = u @ ((b @ (f.q.T @ f.q)).reshape(len(rows), -1) @ rows.T)
+        return _scale(u, contract(ws.xq(f.q)), den, cfg)
+    n, d = _mu_terms(f, ws, cfg.beta)
+    den = b.sum(axis=1) @ f.q.sum(axis=0) if d is None else contract(d @ f.q)
+    return _scale(u, contract(n @ f.q), den, cfg)
 
 
-def update_core(x, f, cfg):
-    """One multiplicative update of the core: the approximation is the
-    mode-3 basis times Q^T, and the products with the transposed
-    Kronecker matrix contract ``(J*K) x L`` arrays with Q, H and W in turn."""
+def update_core(x, f, cfg, ws=None):
+    """One multiplicative update of the core: the products with the
+    transposed Kronecker matrix contract ``(J*K) x L`` arrays with Q, H
+    and W in turn. `ws` is as for :func:`update_mode_factor`."""
+    ws = _Workspace(x) if ws is None else ws
     j, k, l = x.shape
     shape = f.core.shape
 
-    def contract(t):
-        t = np.matmul(f.h.T, (t @ f.q).reshape(j, k, -1))  # (J, K', L')
+    def contract(tq):  # (J*K) x L' -> J' x K' x L'
+        t = np.matmul(f.h.T, tq.reshape(j, k, -1))  # (J, K', L')
         return (f.w.T @ t.reshape(j, -1)).reshape(shape)
 
-    n, d = _mu_terms(x.reshape(-1, l), _mode3_basis(f) @ f.q.T, cfg.beta)
+    if cfg.beta == 2.0:  # G x_1 W^T W x_2 H^T H x_3 Q^T Q
+        wg = ((f.w.T @ f.w) @ f.core.reshape(shape[0], -1)).reshape(shape)
+        den = np.matmul(f.h.T @ f.h, wg) @ (f.q.T @ f.q)
+        return _scale(f.core, contract(ws.xq(f.q)), den, cfg)
+    n, d = _mu_terms(f, ws, cfg.beta)
     if d is None:  # the outer product of the factors' column sums
         den = np.multiply.outer(np.outer(f.w.sum(axis=0), f.h.sum(axis=0)), f.q.sum(axis=0))
     else:
-        den = contract(d)
-    return _scale(f.core, contract(n), den, cfg)
+        den = contract(d @ f.q)
+    return _scale(f.core, contract(n @ f.q), den, cfg)
 
 
-def iterate(x, f, cfg):
+def iterate(x, f, cfg, ws=None):
     """One full outer loop: update W, H, Q in order, then the core."""
-    f = FactorSet(update_mode_factor(x, f, 1, cfg), f.h, f.q, f.core)
-    f = FactorSet(f.w, update_mode_factor(x, f, 2, cfg), f.q, f.core)
-    f = FactorSet(f.w, f.h, update_mode_factor(x, f, 3, cfg), f.core)
-    return FactorSet(f.w, f.h, f.q, update_core(x, f, cfg))
+    ws = _Workspace(x) if ws is None else ws
+    f = FactorSet(update_mode_factor(x, f, 1, cfg, ws), f.h, f.q, f.core)
+    f = FactorSet(f.w, update_mode_factor(x, f, 2, cfg, ws), f.q, f.core)
+    f = FactorSet(f.w, f.h, update_mode_factor(x, f, 3, cfg, ws), f.core)
+    return FactorSet(f.w, f.h, f.q, update_core(x, f, cfg, ws))
 
 
 def solve(x, cfg, init=None, clamp_data=None):
@@ -230,18 +264,22 @@ def solve(x, cfg, init=None, clamp_data=None):
     check_domain(x, None, cfg.beta)
 
     f = init.copy() if init is not None else init_factors(x.shape, cfg)
+    ws = _Workspace(x)
+    x_term = data_term(x, cfg.beta, ws.scratch)
     trace = LossTrace()
-    trace.losses.append(objective(x, f.approximation(), cfg.beta))
+    trace.losses.append(objective(x, f.approximation(ws.m3), cfg.beta, ws.scratch, x_term))
+    ws.model_of = f  # the loss's model serves the next mode-1 update
     if not np.isfinite(trace.losses[0]):
         raise NumericalDomainError("non-finite loss at the starting point")
 
     last_eval = trace.losses[0]
     for it in range(1, cfg.max_iters + 1):
         t0 = time.perf_counter()
-        f = iterate(x, f, cfg)
+        f = iterate(x, f, cfg, ws)
         trace.iter_times.append(time.perf_counter() - t0)
         if it % cfg.loss_eval_period == 0 or it == cfg.max_iters:
-            loss = objective(x, f.approximation(), cfg.beta)
+            loss = objective(x, f.approximation(ws.m3), cfg.beta, ws.scratch, x_term)
+            ws.model_of = f
             if not np.isfinite(loss):
                 raise NumericalDomainError(f"non-finite loss at iteration {it}")
             trace.losses.append(loss)

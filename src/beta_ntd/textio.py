@@ -66,6 +66,16 @@ def write_rows(path, header, rows):
             fh.write(line % tuple(row.tolist()))
 
 
+def increasing_times(times, too_few, not_increasing):
+    """`times` as a 1-D float64 array of two or more increasing entries."""
+    times = np.asarray(times, dtype=np.float64)
+    if times.ndim != 1 or times.size < 2:
+        raise ValueError(too_few)
+    if np.any(np.diff(times) <= 0):
+        raise ValueError(not_increasing)
+    return times
+
+
 def read_times(path):
     """Read one time in seconds per line, strictly increasing, at least
     two; blank lines are skipped."""

@@ -53,13 +53,11 @@ class BarGrid:
     boundaries: np.ndarray
 
     def __post_init__(self):
-        self.boundaries = np.asarray(self.boundaries, dtype=np.float64)
-        if self.boundaries.ndim != 1 or self.boundaries.size < 2:
-            raise ValueError("bar grid needs at least 2 boundary times")
+        self.boundaries = textio.increasing_times(
+            self.boundaries, "bar grid needs at least 2 boundary times",
+            "bar boundaries must be strictly increasing")
         if self.boundaries[0] < 0:
             raise ValueError("bar boundaries must start at time >= 0")
-        if np.any(np.diff(self.boundaries) <= 0):
-            raise ValueError("bar boundaries must be strictly increasing")
 
     @property
     def bar_count(self):

@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+import beta_ntd.cli
 from beta_ntd.cli import (
     EXIT_ARGUMENT,
     EXIT_NUMERICAL,
@@ -11,7 +12,7 @@ from beta_ntd.cli import (
     EXIT_PARSE,
     main,
 )
-from beta_ntd.solver import SolverConfig, init_factors
+from beta_ntd.solver import SolverConfig, init_factors, solve
 from beta_ntd.tensor_ops import read_matrix, read_tensor, write_matrix, write_tensor
 from beta_ntd.tfb import BarGrid, Spectrogram, write_bars, write_spectrogram
 
@@ -65,6 +66,26 @@ class TestDecompose:
         assert manifest["stop_reason"] == reason
         assert (manifest["converged_at"] is None) == (reason == "budget")
 
+    def test_manifest_stop_reason_loss_increase(self, small_tensor, tmp_path, monkeypatch):
+        # multiplicative updates do not raise the loss in exact arithmetic,
+        # so the solve's trace is made to end on a rise that stopped it
+        def rising(x, cfg, **kwargs):
+            f, trace = solve(x, cfg, **kwargs)
+            trace.losses[-1] = 2 * trace.losses[-2]
+            trace.converged_at = len(trace.iter_times)
+            return f, trace
+
+        monkeypatch.setattr(beta_ntd.cli, "solve", rising)
+        out = tmp_path / "out"
+        rc = main([
+            "decompose", str(small_tensor), "--core-dims", "2,2,2",
+            "--max-iters", "3", "--rel-tol", "0", "--out", str(out),
+        ])
+        assert rc == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["stop_reason"] == "loss-increase"
+        assert manifest["converged_at"] == 3
+
     def test_manifest_environment(self, small_tensor, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
@@ -80,6 +101,7 @@ class TestDecompose:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert env["blas"] == {"name": blas["name"], "version": blas["version"]}
         assert env["threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None}
+        assert isinstance(env["cpu"], str) and env["cpu"]
 
     def test_max_iters_zero_equals_init(self, small_tensor, tmp_path):
         out = tmp_path / "out"

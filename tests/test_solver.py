@@ -318,3 +318,19 @@ def test_solve_last_loss_matches_public_objective(inst, iters):
     x_used = np.maximum(x, cfg.epsilon) if cfg.beta <= 1 else x
     expected = objective(x_used, f.approximation(), cfg.beta)
     assert trace.losses[-1] == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("period", [1, 3])
+@pytest.mark.parametrize("beta", BETAS)
+def test_solve_bit_identical_to_repeated_iterate(beta, period):
+    # solve's workspace, the loss's model reused by the next mode-1 update
+    # and the X Q product shared by the core and the next mode-1 and mode-2
+    # updates must not change one bit of the iterates
+    x, init, cfg = _instance((7, 6, 5), (3, 2, 4), beta, seed=5)
+    cfg = replace(cfg, max_iters=7, rel_tol=0.0, loss_eval_period=period)
+    f, _ = solve(x, cfg, init=init)
+    g = init
+    for _ in range(cfg.max_iters):
+        g = iterate(x, g, cfg)
+    for ours, public in zip((f.w, f.h, f.q, f.core), (g.w, g.h, g.q, g.core)):
+        np.testing.assert_array_equal(ours, public)
