@@ -11,9 +11,11 @@ Products work on the C-order view ``X.reshape(J*K, L)`` of the data X
 updates are in Gram form and never build the model; at other beta the model
 and the MU terms go into a workspace that `solve` makes once, so its loop
 allocates nothing of the data's size. `solve` checks the data's domain
-once; in the loop every entry is at least epsilon.
+once, from its minimum and maximum, and copies it only when clamping
+changes an entry; in the loop every entry is at least epsilon.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -239,7 +241,7 @@ def solve(x, cfg, init=None, clamp_data=None):
     Parameters
     ----------
     x : ndarray, shape (J, K, L)
-        Nonnegative, finite data tensor.
+        Nonnegative, finite, non-empty data tensor.
     cfg : SolverConfig
     init : FactorSet, optional
         Starting point; a fresh seeded draw when omitted.
@@ -255,13 +257,17 @@ def solve(x, cfg, init=None, clamp_data=None):
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 3:
         raise ValueError(f"expected a third-order tensor, got ndim={x.ndim}")
-    if np.any(x < 0):
+    if x.size == 0:
+        raise ValueError(f"data tensor must not be empty, got shape {x.shape}")
+    lo, hi = float(x.min()), float(x.max())  # NaN propagates to both
+    if not lo >= 0 and np.any(x < 0):  # a NaN minimum may hide a negative
         raise ValueError("data tensor must be nonnegative")
     if clamp_data is None:
         clamp_data = cfg.beta <= 1.0
-    if clamp_data:
-        x = clamp_min(x, cfg.epsilon)
-    check_domain(x, None, cfg.beta)
+    if clamp_data and lo < cfg.epsilon:  # max(x, eps) is x where x >= eps
+        x, lo = clamp_min(x, cfg.epsilon), cfg.epsilon
+    if not (math.isfinite(lo) and math.isfinite(hi)) or (lo == 0 and cfg.beta <= 0):
+        check_domain(x, None, cfg.beta)  # raises, naming the first bad index
 
     f = init.copy() if init is not None else init_factors(x.shape, cfg)
     ws = _Workspace(x)

@@ -3,13 +3,15 @@ The text scaffold shared by the package's file formats.
 
 Array files (tensors, matrices, spectrograms) are one header line of
 literal words, positive integer dimensions and optional further fields,
-then the entries in C order, whitespace-separated, one row per line.
+then the entries in C order, whitespace-separated, one row per line;
+every row holds the same count of values and blank lines are skipped.
 Time files (bar grids, boundary sets) hold one time in seconds per line.
 Values are written with 17 significant digits, so every float64 reads
 back exactly.
 """
 
 import math
+import warnings
 
 import numpy as np
 
@@ -20,7 +22,8 @@ def read_array(path, magic, ndim, usage, extra=0):
     """
     Read an array file whose header is the words `magic`, `ndim` positive
     integer dimensions and `extra` further fields; `usage` shows the
-    header in error messages. Every value must be finite and nonnegative.
+    header in error messages. Every row must hold the same count of
+    values, and every value must be finite and nonnegative.
 
     Returns
     -------
@@ -37,20 +40,20 @@ def read_array(path, magic, ndim, usage, extra=0):
             raise ParseError(f"{path}:1: non-integer dimensions in header") from None
         if min(dims) < 1:
             raise ParseError(f"{path}:1: dimensions must be positive")
-        # Keep the whole-file split. Freeing its large list of strings
-        # raises glibc's mmap threshold, so the solver's temporaries are
-        # then reused from the heap instead of being freshly mapped and
-        # page-faulted on every iteration.
-        try:
-            data = np.array(fh.read().split(), dtype=np.float64)
-        except ValueError:
-            raise ParseError(f"{path}: malformed numeric data") from None
+        with warnings.catch_warnings():
+            # a header-only file is reported by the count check below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            try:
+                data = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=1)
+            except ValueError as exc:
+                raise ParseError(f"{path}: malformed numeric data: {exc}") from None
     size = math.prod(dims)
     if data.size != size:
         raise ParseError(f"{path}: expected {size} values, found {data.size}")
-    if not np.all(np.isfinite(data)):
+    lo, hi = float(data.min()), float(data.max())  # NaN propagates to both
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ParseError(f"{path}: non-finite values are not allowed")
-    if np.any(data < 0):
+    if lo < 0:
         raise ParseError(f"{path}: negative values are not allowed")
     return data.reshape(dims), parts[n + ndim :]
 

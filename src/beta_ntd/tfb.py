@@ -19,6 +19,12 @@ from . import textio
 from .errors import ParseError
 
 
+def _has_negative(a):
+    """Whether `a` holds an entry below 0: one min() pass, scanning again
+    only when a NaN minimum may hide a negative."""
+    return a.size > 0 and not a.min() >= 0 and bool(np.any(a < 0))
+
+
 @dataclass
 class Spectrogram:
     """Nonnegative bands x frames matrix with a uniform hop in seconds;
@@ -31,7 +37,7 @@ class Spectrogram:
         self.data = np.asarray(self.data, dtype=np.float64)
         if self.data.ndim != 2:
             raise ValueError(f"spectrogram data must be 2D, got ndim={self.data.ndim}")
-        if np.any(self.data < 0):
+        if _has_negative(self.data):
             raise ValueError("spectrogram data must be nonnegative")
         if not (np.isfinite(self.hop_seconds) and self.hop_seconds > 0):
             raise ValueError(f"hop_seconds must be finite and positive, got {self.hop_seconds}")
@@ -127,7 +133,7 @@ def apply_mel(spec, bank):
 
 def nnlms(spec):
     """Entrywise log(x + 1); nonnegative and order-preserving."""
-    if np.any(spec.data < 0):
+    if _has_negative(spec.data):
         raise ValueError("nnlms requires nonnegative input")
     return Spectrogram(np.log1p(spec.data), spec.hop_seconds)
 

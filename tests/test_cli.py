@@ -349,3 +349,6 @@ class TestBench:
         assert len(lines) == 2
         mean_s = float(lines[1].split()[1])
         assert mean_s > 0
+        # untimed iterations for BENCH_WARMUP_SECONDS come first
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["warmup_iters"] >= 1

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -170,6 +172,22 @@ def _no_iterate(*args):
     raise AssertionError("solve iterated on data outside the domain")
 
 
+def _no_scan(*args):
+    raise AssertionError("solve scanned data that its minimum and maximum pass")
+
+
+# entries set in 0.5-filled 3 x 4 x 2 data (None: zero-size data), the error and its text
+_DOMAIN_CASES = {
+    "nan": ({(1, 2, 0): np.nan}, NumericalDomainError, r"non-finite data entry at index \(1, 2, 0\)"),
+    "inf": ({(2, 3, 1): np.inf}, NumericalDomainError, r"non-finite data entry at index \(2, 3, 1\)"),
+    "-inf": ({(0, 1, 1): -np.inf}, ValueError, r"^data tensor must be nonnegative$"),
+    "negative": ({(2, 0, 0): -0.25}, ValueError, r"^data tensor must be nonnegative$"),
+    "nan-and-negative": ({(0, 0, 1): np.nan, (1, 1, 1): -1.0}, ValueError,
+                         r"^data tensor must be nonnegative$"),
+    "empty": (None, ValueError, r"^data tensor must not be empty"),
+}
+
+
 class TestSolve:
     def test_planted_recovery(self):
         planted, x = planted_instance((8, 7, 6), (2, 2, 2), seed=19)
@@ -225,6 +243,61 @@ class TestSolve:
         cfg = SolverConfig(beta=0.0, core_dims=(1, 1, 1))
         with pytest.raises(NumericalDomainError, match=r"data entry 0 .* at index \(2, 0, 1\)"):
             solve(x, cfg, clamp_data=False)
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("case", sorted(_DOMAIN_CASES))
+    def test_domain_errors_keep_type_and_index(self, case, beta, monkeypatch):
+        monkeypatch.setattr(beta_ntd.solver, "iterate", _no_iterate)
+        entries, error, match = _DOMAIN_CASES[case]
+        if entries is None:
+            x = np.ones((3, 0, 2))
+        else:
+            x = np.full((3, 4, 2), 0.5)
+            x[0, 0, 0] = 0.0  # clamped by default at beta <= 1
+            for index, value in entries.items():
+                x[index] = value
+        for clamp in (None, True, False):
+            with pytest.raises(error, match=match):
+                solve(x, SolverConfig(beta=beta, core_dims=(1, 1, 1)), clamp_data=clamp)
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("low", [0.0, 0.6e-12, 0.5])
+    def test_clamps_below_epsilon_without_naming_scan(self, beta, low, monkeypatch):
+        # good data: the bounds alone pass it, and clamping by default is
+        # solving the explicitly clamped data
+        monkeypatch.setattr(beta_ntd.solver, "check_domain", _no_scan)
+        x = np.random.default_rng(26).uniform(0.1, 1.0, (5, 4, 3))
+        x[1, 2, 0] = low
+        cfg = SolverConfig(beta=beta, core_dims=(2, 2, 2), max_iters=4, rel_tol=0.0)
+        f, trace = solve(x, cfg)
+        clamped = np.maximum(x, cfg.epsilon) if beta <= 1 else x
+        f0, trace0 = solve(clamped, cfg, clamp_data=False)
+        assert trace.losses == trace0.losses
+        np.testing.assert_array_equal(f.core, f0.core)
+
+    @pytest.mark.parametrize("beta", [-0.5, 0.0])
+    def test_unclamped_zero_named_at_beta_le_zero(self, beta, monkeypatch):
+        monkeypatch.setattr(beta_ntd.solver, "iterate", _no_iterate)
+        x = np.full((3, 4, 2), 0.5)
+        x[1, 3, 0] = x[2, 1, 1] = 0.0
+        with pytest.raises(NumericalDomainError, match=r"data entry 0 .* at index \(1, 3, 0\)"):
+            solve(x, SolverConfig(beta=beta, core_dims=(1, 1, 1)), clamp_data=False)
+        x[1, 3, 0] = -0.0  # compares equal to zero, not below it
+        with pytest.raises(NumericalDomainError, match=r"data entry 0 .* at index \(1, 3, 0\)"):
+            solve(x, SolverConfig(beta=beta, core_dims=(1, 1, 1)), clamp_data=False)
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 2.0])
+    def test_peak_memory_on_data_above_epsilon(self, beta):
+        # the workspace's two buffers, and no clamp copy of data that is >= epsilon
+        x = np.random.default_rng(25).uniform(0.1, 1.0, (40, 48, 50))
+        cfg = SolverConfig(beta=beta, core_dims=(8, 6, 4), max_iters=2, rel_tol=0.0)
+        tracemalloc.start()
+        try:
+            solve(x, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * x.nbytes, f"peak {peak / x.nbytes:.2f}x the data's bytes"
 
     def test_beta_le_one_clamps_zero_data_by_default(self):
         x = np.zeros((3, 3, 3))

@@ -1,3 +1,7 @@
+import re
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -238,9 +242,48 @@ class TestTensorFile:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(15)
         t = rng.random((3, 4, 2))
+        # zero, the smallest subnormal, the smallest normal and the largest float
+        t[0, 0] = [0.0, 5e-324]
+        t[0, 1] = [2.2250738585072014e-308, 1.7976931348623157e308]
         path = tmp_path / "t.txt"
         write_tensor(path, t)
-        np.testing.assert_array_equal(read_tensor(path), t)
+        back = read_tensor(path)
+        assert back.shape == t.shape
+        assert back.tobytes() == t.tobytes()
+
+    @pytest.mark.parametrize("body", [
+        "1.0 2.0\n3.0\n4.0 5.0 6.0\n",
+        "1.0 2.0 3.0\n4.0 5.0 # 6.0\n",
+        "1.0 2.0 3.0\n4.0 x 6.0\n",
+    ], ids=["ragged-rows", "comment-marker", "not-a-number"])
+    def test_rejects_malformed_data_naming_file(self, tmp_path, body):
+        path = tmp_path / "t.txt"
+        path.write_text("ntd-t3 1 2 3\n" + body)
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: malformed numeric data: .*row"):
+            read_tensor(path)
+
+    @pytest.mark.parametrize("body", ["", "\n", "\n  \n"], ids=["empty", "newline", "blank-lines"])
+    def test_header_only_file_is_a_parse_error_without_warning(self, tmp_path, body):
+        path = tmp_path / "t.txt"
+        path.write_text("ntd-t3 1 2 3\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: expected 6 values, found 0"):
+                read_tensor(path)
+
+    def test_peak_memory_is_near_the_array_size(self, tmp_path):
+        # the parse holds no Python object per value, only the array and its growth
+        t = np.random.default_rng(16).random((40, 48, 50))
+        path = tmp_path / "t.txt"
+        write_tensor(path, t)
+        tracemalloc.start()
+        try:
+            back = read_tensor(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(back, t)
+        assert peak <= 2 * t.nbytes, f"peak {peak / t.nbytes:.2f}x the array's bytes"
 
     def test_rejects_negative(self, tmp_path):
         path = tmp_path / "t.txt"
