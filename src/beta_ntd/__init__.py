@@ -26,11 +26,8 @@ from .tensor_ops import (
 )
 from .tfb import (
     BarGrid,
-    MelBank,
     Spectrogram,
-    apply_mel,
     build_tfb,
-    mel_filterbank,
     nnlms,
 )
 
@@ -40,12 +37,10 @@ __all__ = [
     "EvalReport",
     "FactorSet",
     "LossTrace",
-    "MelBank",
     "NumericalDomainError",
     "ParseError",
     "SolverConfig",
     "Spectrogram",
-    "apply_mel",
     "bar_autosimilarity",
     "bars_to_seconds",
     "beta_div",
@@ -59,7 +54,6 @@ __all__ = [
     "init_factors",
     "iterate",
     "matricize",
-    "mel_filterbank",
     "mode_product",
     "multiway_product",
     "nnlms",

@@ -15,6 +15,7 @@ import os
 import platform
 import sys
 import time
+from dataclasses import asdict
 from importlib.metadata import PackageNotFoundError, version
 from pathlib import Path
 
@@ -101,16 +102,7 @@ def _write_manifest(out_dir, command, inputs, cfg, extra, elapsed):
     manifest = {
         "command": command,
         "inputs": inputs,
-        "config": {
-            "beta": cfg.beta,
-            "epsilon": cfg.epsilon,
-            "core_dims": list(cfg.core_dims),
-            "max_iters": cfg.max_iters,
-            "rel_tol": cfg.rel_tol,
-            "seed": cfg.seed,
-        }
-        if cfg is not None
-        else None,
+        "config": asdict(cfg) if cfg is not None else None,
         "wall_seconds": elapsed,
         "version": _version(),
         "environment": _environment(),
@@ -277,6 +269,7 @@ def cmd_bench(args):
             epsilon=args.epsilon,
             core_dims=_parse_triple(args.core_dims, "--core-dims"),
             max_iters=args.iters,
+            rel_tol=0.0,
             seed=args.seed,
         )
         for beta in betas
@@ -287,20 +280,16 @@ def cmd_bench(args):
         f = iterate(x, f, cfgs[0])
         warmup_iters += 1
     rows = []
-    for beta, cfg in zip(betas, cfgs):
-        f = init_factors(dims, cfg)
-        times = []
-        for _ in range(args.iters):
-            start = time.perf_counter()
-            f = iterate(x, f, cfg)
-            times.append(time.perf_counter() - start)
+    for cfg in cfgs:  # the times solve records around each of its iterations
+        times = solve(x, cfg)[1].iter_times
         rows.append({
-            "beta": beta,
+            "beta": cfg.beta,
             "mean_seconds": float(np.mean(times)),
             "min_seconds": float(np.min(times)),
+            "iterations": len(times),
         })
     with open(out_dir / "bench.txt", "w") as fh:
-        keys = ["beta", "mean_seconds", "min_seconds"]
+        keys = list(rows[0])
         fh.write(" ".join(keys) + "\n")
         for row in rows:
             fh.write(" ".join(f"{row[k]:.17g}" for k in keys) + "\n")
@@ -314,7 +303,9 @@ def cmd_bench(args):
             "iters": args.iters,
             "warmup_iters": warmup_iters,
             "results": rows,
-            "stop_reason": "budget",
+            # at rel_tol 0 a solve stops early only on a rise in the loss
+            "stop_reason": "budget" if all(r["iterations"] == args.iters for r in rows)
+            else "loss-increase",
         },
         time.perf_counter() - t0,
     )
@@ -389,3 +380,7 @@ def main(argv=None):
 
 def entry_point():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry_point()

@@ -9,7 +9,7 @@ in seconds, and reports precision / recall / F-measure.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,16 +40,7 @@ class EvalReport:
     empty_warning: bool = False
 
     def as_dict(self):
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f_measure": self.f_measure,
-            "tolerance": self.tolerance,
-            "hits": self.hits,
-            "est_count": self.est_count,
-            "ref_count": self.ref_count,
-            "empty_warning": self.empty_warning,
-        }
+        return asdict(self)
 
 
 def bar_autosimilarity(q):

@@ -167,15 +167,6 @@ def ew_power(x, p):
     return x ** p
 
 
-def safe_divide(a, b):
-    """Elementwise division that raises instead of emitting inf/nan on a
-    zero denominator."""
-    b = np.asarray(b, dtype=np.float64)
-    if np.any(b == 0):
-        raise NumericalDomainError("zero entry in elementwise divisor")
-    return np.asarray(a, dtype=np.float64) / b
-
-
 def clamp_min(x, eps):
     """Elementwise maximum with `eps`; every output entry is >= eps."""
     if eps <= 0:

@@ -7,8 +7,7 @@ sampled at a fixed number of equally spaced positions and the nearest
 spectrogram frame is taken at each, so tensor entries are always a subset
 of spectrogram entries.
 
-Also provides a triangular Mel filterbank and the nonnegative log
-compression log(x + 1).
+Also provides the nonnegative log compression log(x + 1).
 """
 
 from dataclasses import dataclass
@@ -68,67 +67,6 @@ class BarGrid:
     @property
     def bar_count(self):
         return self.boundaries.size - 1
-
-
-@dataclass
-class MelBank:
-    """Triangular filterbank: n_filters x (n_fft/2 + 1) nonnegative weights."""
-
-    weights: np.ndarray
-    f_min: float
-    f_max: float
-    sample_rate: float
-    n_fft: int
-
-    @property
-    def n_filters(self):
-        return self.weights.shape[0]
-
-
-def hz_to_mel(f):
-    return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
-
-
-def mel_to_hz(m):
-    return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
-
-
-def mel_filterbank(n_filters, f_min, f_max, sample_rate, n_fft):
-    """
-    Triangular filters with centers equally spaced on the Mel scale
-    between f_min and f_max, peak height 1 (no area normalization).
-
-    Each row rises linearly from one neighboring center to its own and
-    falls to the next, evaluated at the FFT bin frequencies
-    ``i * sample_rate / n_fft`` for i = 0 .. n_fft/2.
-    """
-    if n_filters < 1:
-        raise ValueError(f"n_filters must be >= 1, got {n_filters}")
-    if not (0 <= f_min < f_max <= sample_rate / 2):
-        raise ValueError(
-            f"need 0 <= f_min < f_max <= sample_rate/2, got "
-            f"f_min={f_min}, f_max={f_max}, sample_rate={sample_rate}"
-        )
-    edges_hz = mel_to_hz(np.linspace(hz_to_mel(f_min), hz_to_mel(f_max), n_filters + 2))
-    bin_freqs = np.arange(n_fft // 2 + 1) * (sample_rate / n_fft)
-    lo = edges_hz[:-2, None]
-    center = edges_hz[1:-1, None]
-    hi = edges_hz[2:, None]
-    rising = (bin_freqs[None, :] - lo) / (center - lo)
-    falling = (hi - bin_freqs[None, :]) / (hi - center)
-    weights = np.clip(np.minimum(rising, falling), 0.0, None)
-    return MelBank(weights, float(f_min), float(f_max), float(sample_rate), int(n_fft))
-
-
-def apply_mel(spec, bank):
-    """Aggregate spectrogram bands through the filterbank; the time axis
-    is unchanged."""
-    expected = bank.n_fft // 2 + 1
-    if spec.bands != expected:
-        raise ValueError(
-            f"spectrogram has {spec.bands} bands, filterbank expects {expected}"
-        )
-    return Spectrogram(bank.weights @ spec.data, spec.hop_seconds)
 
 
 def nnlms(spec):

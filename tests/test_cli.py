@@ -1,9 +1,14 @@
+import dataclasses
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import beta_ntd
 import beta_ntd.cli
 from beta_ntd.cli import (
     EXIT_ARGUMENT,
@@ -15,6 +20,11 @@ from beta_ntd.cli import (
 from beta_ntd.solver import SolverConfig, init_factors, solve
 from beta_ntd.tensor_ops import read_matrix, read_tensor, write_matrix, write_tensor
 from beta_ntd.tfb import BarGrid, Spectrogram, write_bars, write_spectrogram
+
+
+def as_json(cfg):
+    """A SolverConfig as its manifest records it."""
+    return json.loads(json.dumps(dataclasses.asdict(cfg)))
 
 
 @pytest.fixture
@@ -211,6 +221,20 @@ class TestDecompose:
         ])
         assert rc == EXIT_ARGUMENT
 
+    def test_manifest_config_is_the_solver_config(self, small_tensor, tmp_path):
+        out = tmp_path / "out"
+        rc = main([
+            "decompose", str(small_tensor), "--beta", "0.5", "--core-dims", "2,3,2",
+            "--epsilon", "1e-9", "--max-iters", "4", "--rel-tol", "1e-6",
+            "--seed", "3", "--out", str(out),
+        ])
+        assert rc == EXIT_OK
+        cfg = SolverConfig(beta=0.5, epsilon=1e-9, core_dims=(2, 3, 2), max_iters=4,
+                           rel_tol=1e-6, seed=3)
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config == as_json(cfg)
+        assert config["loss_eval_period"] == 1
+
 
 def synthetic_song(tmp_path, seed=0, nbars=16, seam_every=8):
     rng = np.random.default_rng(seed)
@@ -352,3 +376,35 @@ class TestBench:
         # untimed iterations for BENCH_WARMUP_SECONDS come first
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["warmup_iters"] >= 1
+        # every row is timed by solve, over the whole budget
+        assert lines[0].split() == ["beta", "mean_seconds", "min_seconds", "iterations"]
+        assert [int(line.split()[3]) for line in lines[1:]] == [3]
+        assert [row["iterations"] for row in manifest["results"]] == [3]
+        assert manifest["stop_reason"] == "budget"
+        cfg = SolverConfig(beta=0.0, core_dims=(3, 3, 3), max_iters=3, rel_tol=0.0)
+        assert manifest["config"] == as_json(cfg)
+        assert manifest["config"]["loss_eval_period"] == 1
+
+
+class TestModuleEntry:
+    """``python -m beta_ntd.cli`` runs the same commands as ``main``."""
+
+    def run(self, *args, cwd):
+        src = str(Path(beta_ntd.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        return subprocess.run([sys.executable, "-m", "beta_ntd.cli", *args], cwd=cwd,
+                              env=env, capture_output=True, text=True)
+
+    def test_domain_error_exit_code(self, tmp_path):
+        write_tensor(tmp_path / "zero.txt", np.zeros((3, 3, 3)))
+        done = self.run("decompose", "zero.txt", "--beta", "0", "--clamp-data", "no",
+                        "--core-dims", "2,2,2", "--out", "o", cwd=tmp_path)
+        assert done.returncode == EXIT_NUMERICAL, done.stderr
+        assert "error:" in done.stderr
+
+    def test_bench_writes_manifest(self, tmp_path):
+        done = self.run("bench", "--dims", "4,4,4", "--core-dims", "2,2,2",
+                        "--iters", "2", "--out", "b", cwd=tmp_path)
+        assert done.returncode == EXIT_OK, done.stderr
+        assert json.loads((tmp_path / "b" / "manifest.json").read_text())["command"] == "bench"

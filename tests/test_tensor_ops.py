@@ -17,7 +17,6 @@ from beta_ntd.tensor_ops import (
     mode_product,
     multiway_product,
     read_tensor,
-    safe_divide,
     write_matrix,
     write_tensor,
 )
@@ -224,18 +223,6 @@ def test_ew_power_negative_requires_positive():
 def test_clamp_min():
     out = clamp_min(np.zeros((3, 3)), 1e-12)
     np.testing.assert_array_equal(out, np.full((3, 3), 1e-12))
-
-
-def test_multiply_divide_roundtrip():
-    rng = np.random.default_rng(14)
-    x = rng.random((5, 5)) + 0.1
-    y = rng.random((5, 5)) + 0.1
-    np.testing.assert_allclose(safe_divide(x * y, y), x, rtol=1e-14)
-
-
-def test_safe_divide_zero_denominator():
-    with pytest.raises(NumericalDomainError):
-        safe_divide(np.ones(3), np.array([1.0, 0.0, 2.0]))
 
 
 class TestTensorFile:

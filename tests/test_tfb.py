@@ -5,89 +5,13 @@ from beta_ntd.errors import ParseError
 from beta_ntd.tfb import (
     BarGrid,
     Spectrogram,
-    apply_mel,
     build_tfb,
-    hz_to_mel,
-    mel_filterbank,
-    mel_to_hz,
     nnlms,
     read_bars,
     read_spectrogram,
     write_bars,
     write_spectrogram,
 )
-
-
-class TestMelFilterbank:
-    def test_default_configuration_shape(self):
-        bank = mel_filterbank(80, 80.0, 16000.0, 44100.0, 2048)
-        assert bank.weights.shape == (80, 1025)
-
-    def test_rows_nonnegative_unimodal(self):
-        bank = mel_filterbank(40, 80.0, 16000.0, 44100.0, 2048)
-        for row in bank.weights:
-            assert np.all(row >= 0)
-            nz = np.flatnonzero(row)
-            assert nz.size > 0
-            # contiguous support
-            assert np.array_equal(nz, np.arange(nz[0], nz[-1] + 1))
-            # single rise then fall
-            d = np.diff(row[nz[0] : nz[-1] + 1])
-            peak = int(np.argmax(row))
-            assert np.all(d[: peak - nz[0]] >= 0)
-            assert np.all(d[peak - nz[0] :] <= 0)
-
-    def test_centers_monotone_in_hz(self):
-        bank = mel_filterbank(30, 100.0, 8000.0, 44100.0, 2048)
-        centers = [np.argmax(row) for row in bank.weights]
-        assert all(a <= b for a, b in zip(centers, centers[1:]))
-
-    def test_support_inside_band_edges(self):
-        bank = mel_filterbank(20, 200.0, 5000.0, 44100.0, 2048)
-        freqs = np.arange(1025) * (44100.0 / 2048)
-        outside = (freqs < 200.0) | (freqs > 5000.0)
-        assert np.all(bank.weights[:, outside] == 0)
-
-    def test_mel_scale_roundtrip(self):
-        f = np.array([80.0, 440.0, 16000.0])
-        np.testing.assert_allclose(mel_to_hz(hz_to_mel(f)), f, rtol=1e-12)
-
-    def test_invalid_range(self):
-        with pytest.raises(ValueError):
-            mel_filterbank(10, 5000.0, 100.0, 44100.0, 2048)
-        with pytest.raises(ValueError):
-            mel_filterbank(10, 80.0, 30000.0, 44100.0, 2048)
-
-
-class TestApplyMel:
-    def test_zero_in_zero_out(self):
-        bank = mel_filterbank(10, 80.0, 8000.0, 22050.0, 512)
-        spec = Spectrogram(np.zeros((257, 5)), 0.01)
-        out = apply_mel(spec, bank)
-        assert out.bands == 10
-        assert np.all(out.data == 0)
-
-    def test_single_frame_matches_loop(self):
-        rng = np.random.default_rng(0)
-        bank = mel_filterbank(10, 80.0, 8000.0, 22050.0, 512)
-        spec = Spectrogram(rng.random((257, 1)), 0.01)
-        out = apply_mel(spec, bank)
-        for i in range(10):
-            expected = sum(
-                bank.weights[i, j] * spec.data[j, 0] for j in range(257)
-            )
-            assert out.data[i, 0] == pytest.approx(expected, rel=1e-12)
-
-    def test_nonnegative_output(self):
-        rng = np.random.default_rng(1)
-        bank = mel_filterbank(10, 80.0, 8000.0, 22050.0, 512)
-        out = apply_mel(Spectrogram(rng.random((257, 7)), 0.01), bank)
-        assert np.all(out.data >= 0)
-
-    def test_band_mismatch(self):
-        bank = mel_filterbank(10, 80.0, 8000.0, 22050.0, 512)
-        with pytest.raises(ValueError):
-            apply_mel(Spectrogram(np.zeros((100, 5)), 0.01), bank)
 
 
 class TestNnlms:
