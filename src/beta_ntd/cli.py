@@ -3,8 +3,10 @@ Command-line front end: decompose a tensor file, run the spectrogram ->
 TFB -> decomposition -> segmentation pipeline, evaluate boundary files,
 or benchmark iteration timings.
 
-Every command writes a manifest.json into the output directory recording
-the full configuration, so a run is reproducible from its manifest alone.
+`main` makes the output directory, runs the command there and writes a
+manifest.json recording the full configuration, so a run is reproducible
+from its manifest alone. Each `cmd_*` returns the manifest's inputs, its
+solver config (or None) and its further fields.
 Exit codes: 0 success, 2 argument error, 3 parse error, 4 numerical
 domain error.
 """
@@ -24,15 +26,16 @@ import numpy as np
 from . import segmentation as seg
 from . import tfb as tfb_mod
 from .errors import NumericalDomainError, ParseError
-from .solver import FactorSet, SolverConfig, init_factors, iterate, solve
+from .solver import FactorSet, SolverConfig, solve
 from .tensor_ops import read_matrix, read_tensor, write_matrix, write_tensor
+from .textio import write_rows
 
 EXIT_OK = 0
 EXIT_ARGUMENT = 2
 EXIT_PARSE = 3
 EXIT_NUMERICAL = 4
 
-# bench iterates untimed for this long first: after a quiet spell the first
+# bench solves untimed for this long first: after a quiet spell the first
 # large multi-threaded BLAS products can run about 10x slow for about a second
 BENCH_WARMUP_SECONDS = 1.5
 
@@ -113,11 +116,13 @@ def _write_manifest(out_dir, command, inputs, cfg, extra, elapsed):
         fh.write("\n")
 
 
-def _write_factors(out_dir, f):
+def _write_solution(out_dir, f, trace):
     write_matrix(out_dir / "factor_w.txt", f.w)
     write_matrix(out_dir / "factor_h.txt", f.h)
     write_matrix(out_dir / "factor_q.txt", f.q)
     write_tensor(out_dir / "core.txt", f.core)
+    losses = trace.losses
+    write_rows(out_dir / "loss_trace.txt", None, np.column_stack([np.arange(len(losses)), losses]))
 
 
 def _read_init(init_dir, data_dims, core_dims):
@@ -142,26 +147,14 @@ def _read_init(init_dir, data_dims, core_dims):
     return FactorSet(*parts)
 
 
-def _write_loss_trace(path, trace):
-    with open(path, "w") as fh:
-        for i, loss in enumerate(trace.losses):
-            fh.write(f"{i} {loss:.17g}\n")
-
-
-def cmd_decompose(args):
-    t0 = time.perf_counter()
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_decompose(args, out_dir):
     x = read_tensor(args.tensor)
     cfg = _solver_config(args)
     init = _read_init(args.init, x.shape, cfg.core_dims) if args.init else None
     clamp = {"auto": None, "yes": True, "no": False}[args.clamp_data]
     factors, trace = solve(x, cfg, init=init, clamp_data=clamp)
-    _write_factors(out_dir, factors)
-    _write_loss_trace(out_dir / "loss_trace.txt", trace)
-    _write_manifest(
-        out_dir,
-        "decompose",
+    _write_solution(out_dir, factors, trace)
+    return (
         {"tensor": str(args.tensor), "init": str(args.init) if args.init else None},
         cfg,
         {
@@ -171,17 +164,13 @@ def cmd_decompose(args):
             "converged_at": trace.converged_at,
             "stop_reason": _stop_reason(trace),
         },
-        time.perf_counter() - t0,
     )
-    return EXIT_OK
 
 
-def cmd_pipeline(args):
-    t0 = time.perf_counter()
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_pipeline(args, out_dir):
     spec = tfb_mod.read_spectrogram(args.spectrogram)
     bars = tfb_mod.read_bars(args.bars)
+    seg.check_kernel(bars.bar_count, args.kernel_half_width, args.peak_threshold)
     if args.feature == "nnlms":
         spec = tfb_mod.nnlms(spec)
     tensor = tfb_mod.build_tfb(spec, bars, frames_per_bar=args.frames_per_bar)
@@ -193,8 +182,7 @@ def cmd_pipeline(args):
     cfg = _solver_config(args)
     factors, trace = solve(tensor, cfg)
     write_tensor(out_dir / "tfb.txt", tensor)
-    _write_factors(out_dir, factors)
-    _write_loss_trace(out_dir / "loss_trace.txt", trace)
+    _write_solution(out_dir, factors, trace)
     sim = seg.bar_autosimilarity(factors.q)
     cuts = seg.segment_bars(
         sim,
@@ -203,9 +191,7 @@ def cmd_pipeline(args):
     )
     boundaries = seg.bars_to_seconds(cuts, bars)
     seg.write_boundaries(out_dir / "boundaries.txt", boundaries)
-    _write_manifest(
-        out_dir,
-        "pipeline",
+    return (
         {"spectrogram": str(args.spectrogram), "bars": str(args.bars)},
         cfg,
         {
@@ -217,48 +203,34 @@ def cmd_pipeline(args):
             "stop_reason": _stop_reason(trace),
             "boundary_count": int(boundaries.times.size),
         },
-        time.perf_counter() - t0,
     )
-    return EXIT_OK
 
 
-def cmd_eval(args):
-    t0 = time.perf_counter()
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_eval(args, out_dir):
     est = seg.read_boundaries(args.est)
     ref = seg.read_boundaries(args.ref)
-    tolerances = [float(t) for t in args.tolerances.split(",")]
-    if any(t <= 0 for t in tolerances):
-        raise ValueError(f"--tolerances must be positive, got {args.tolerances}")
-    reports = {}
-    for tol in tolerances:
-        report = seg.evaluate_boundaries(
-            est, ref, tol, exclude_endpoints=not args.include_endpoints
-        )
-        seg.write_report(
-            out_dir / f"report_{tol:g}.txt", out_dir / f"report_{tol:g}.json", report
-        )
-        reports[f"{tol:g}"] = report.as_dict()
-    _write_manifest(
-        out_dir,
-        "eval",
+    # every tolerance is scored, and so checked, before any report is written
+    reports = [
+        seg.evaluate_boundaries(est, ref, float(t), exclude_endpoints=not args.include_endpoints)
+        for t in args.tolerances.split(",")
+    ]
+    for report in reports:
+        name = f"report_{report.tolerance:g}"
+        seg.write_report(out_dir / f"{name}.txt", out_dir / f"{name}.json", report)
+    return (
         {"est": str(args.est), "ref": str(args.ref)},
         None,
         {
-            "tolerances": tolerances,
+            "tolerances": [r.tolerance for r in reports],
             "include_endpoints": args.include_endpoints,
-            "reports": reports,
+            "reports": {f"{r.tolerance:g}": r.as_dict() for r in reports},
         },
-        time.perf_counter() - t0,
     )
-    return EXIT_OK
 
 
-def cmd_bench(args):
-    t0 = time.perf_counter()
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_bench(args, out_dir):
+    if args.iters < 1:
+        raise ValueError(f"--iters must be >= 1, got {args.iters}")
     dims = _parse_triple(args.dims, "--dims")
     betas = [float(b) for b in args.betas.split(",")]
     rng = np.random.default_rng(args.seed)
@@ -274,11 +246,9 @@ def cmd_bench(args):
         )
         for beta in betas
     ]
-    f, warmup_iters = init_factors(dims, cfgs[0]), 0
-    start = time.perf_counter()
-    while time.perf_counter() - start < BENCH_WARMUP_SECONDS:
-        f = iterate(x, f, cfgs[0])
-        warmup_iters += 1
+    warmup_iters, deadline = 0, time.perf_counter() + BENCH_WARMUP_SECONDS
+    while time.perf_counter() < deadline:
+        warmup_iters += len(solve(x, cfgs[0])[1].iter_times)
     rows = []
     for cfg in cfgs:  # the times solve records around each of its iterations
         times = solve(x, cfg)[1].iter_times
@@ -288,14 +258,9 @@ def cmd_bench(args):
             "min_seconds": float(np.min(times)),
             "iterations": len(times),
         })
-    with open(out_dir / "bench.txt", "w") as fh:
-        keys = list(rows[0])
-        fh.write(" ".join(keys) + "\n")
-        for row in rows:
-            fh.write(" ".join(f"{row[k]:.17g}" for k in keys) + "\n")
-    _write_manifest(
-        out_dir,
-        "bench",
+    keys = list(rows[0])
+    write_rows(out_dir / "bench.txt", " ".join(keys), np.array([[r[k] for k in keys] for r in rows]))
+    return (
         {"dims": list(dims)},
         cfgs[0],
         {
@@ -307,9 +272,7 @@ def cmd_bench(args):
             "stop_reason": "budget" if all(r["iterations"] == args.iters for r in rows)
             else "loss-increase",
         },
-        time.perf_counter() - t0,
     )
-    return EXIT_OK
 
 
 def build_parser():
@@ -366,7 +329,12 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        t0 = time.perf_counter()
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        inputs, cfg, extra = args.func(args, out_dir)
+        _write_manifest(out_dir, args.command, inputs, cfg, extra, time.perf_counter() - t0)
+        return EXIT_OK
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

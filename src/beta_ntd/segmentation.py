@@ -9,6 +9,7 @@ in seconds, and reports precision / recall / F-measure.
 """
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -59,6 +60,19 @@ def bar_autosimilarity(q):
     return sim
 
 
+def check_kernel(n, kernel_half_width, peak_threshold):
+    """The kernel half-width as an int, once it is known to fit n bars and
+    the peak threshold to be finite; otherwise a ValueError."""
+    hw = int(kernel_half_width)
+    if hw < 1:
+        raise ValueError(f"kernel_half_width must be >= 1, got {hw}")
+    if 2 * hw > n:
+        raise ValueError(f"kernel width {2 * hw} exceeds the {n} bars")
+    if not math.isfinite(peak_threshold):
+        raise ValueError(f"peak_threshold must be finite, got {peak_threshold}")
+    return hw
+
+
 def segment_bars(sim, kernel_half_width=4, peak_threshold=1.0):
     """
     Boundary bar indices from a bar autosimilarity matrix.
@@ -72,13 +86,7 @@ def segment_bars(sim, kernel_half_width=4, peak_threshold=1.0):
     if sim.ndim != 2 or sim.shape[0] != sim.shape[1]:
         raise ValueError(f"similarity matrix must be square, got {sim.shape}")
     n = sim.shape[0]
-    hw = int(kernel_half_width)
-    if hw < 1:
-        raise ValueError(f"kernel_half_width must be >= 1, got {hw}")
-    if 2 * hw > n:
-        raise ValueError(
-            f"kernel width {2 * hw} exceeds matrix size {n}"
-        )
+    hw = check_kernel(n, kernel_half_width, peak_threshold)
     signs = np.concatenate([-np.ones(hw), np.ones(hw)])
     kernel = np.outer(signs, signs)
     padded = np.pad(sim, hw, mode="edge")
@@ -127,8 +135,8 @@ def evaluate_boundaries(est, ref, tolerance, exclude_endpoints=True):
     of each set are dropped before scoring; an empty side after exclusion
     gives 0 for the affected score and sets a warning flag.
     """
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    if not 0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
     e = est.times[1:-1] if exclude_endpoints else est.times
     r = ref.times[1:-1] if exclude_endpoints else ref.times
 

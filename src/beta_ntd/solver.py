@@ -52,14 +52,16 @@ class SolverConfig:
     loss_eval_period: int = 1
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not math.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got {self.beta}")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
         if len(self.core_dims) != 3 or any(int(d) < 1 for d in self.core_dims):
             raise ValueError(f"core_dims must be three positive integers, got {self.core_dims}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
-        if self.rel_tol < 0:
-            raise ValueError(f"rel_tol must be >= 0, got {self.rel_tol}")
+        if not 0 <= self.rel_tol < math.inf:
+            raise ValueError(f"rel_tol must be finite and >= 0, got {self.rel_tol}")
         if self.loss_eval_period < 1:
             raise ValueError(f"loss_eval_period must be >= 1, got {self.loss_eval_period}")
         self.core_dims = tuple(int(d) for d in self.core_dims)

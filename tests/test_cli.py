@@ -63,6 +63,10 @@ class TestDecompose:
         trace = (out / "loss_trace.txt").read_text().splitlines()
         losses = [float(line.split()[1]) for line in trace]
         assert all(b <= a * (1 + 1e-10) for a, b in zip(losses, losses[1:]))
+        cfg = SolverConfig(beta=1.0, core_dims=(2, 2, 2), max_iters=20)
+        expected = solve(read_tensor(small_tensor), cfg)[1].losses
+        assert (out / "loss_trace.txt").read_text() == "".join(
+            f"{i} {loss:.17g}\n" for i, loss in enumerate(expected))
 
     @pytest.mark.parametrize("rel_tol, reason", [("0", "budget"), ("0.5", "tolerance")])
     def test_manifest_stop_reason(self, small_tensor, tmp_path, rel_tol, reason):
@@ -214,6 +218,19 @@ class TestDecompose:
         rc = main(["decompose", str(bad), "--out", str(tmp_path / "o")])
         assert rc == EXIT_PARSE
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--beta", "nan"), ("--beta", "inf"), ("--epsilon", "nan"), ("--epsilon", "inf"),
+        ("--rel-tol", "nan"), ("--rel-tol", "inf"),
+    ])
+    def test_non_finite_solver_setting_rejected(self, small_tensor, tmp_path, capsys,
+                                                flag, value):
+        out = tmp_path / "o"
+        rc = main(["decompose", str(small_tensor), "--core-dims", "2,2,2", flag, value,
+                   "--out", str(out)])
+        assert rc == EXIT_ARGUMENT
+        assert f"{flag[2:].replace('-', '_')} must be finite" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
     def test_bad_core_dims_flag(self, small_tensor, tmp_path):
         rc = main([
             "decompose", str(small_tensor), "--core-dims", "2,2",
@@ -303,6 +320,19 @@ class TestPipeline:
         ])
         assert rc == EXIT_ARGUMENT
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--kernel-half-width", "6", "kernel width 12 exceeds the 10 bars"),
+        ("--peak-threshold", "nan", "peak_threshold must be finite"),
+    ], ids=["too-wide", "nan-threshold"])
+    def test_bad_kernel_fails_before_solving(self, tmp_path, capsys, flag, value, message):
+        spec_path, bars_path = synthetic_song(tmp_path, nbars=10, seam_every=5)
+        out = tmp_path / "o"
+        rc = main(["pipeline", str(spec_path), str(bars_path), "--core-dims", "2,2,2",
+                   flag, value, "--out", str(out)])
+        assert rc == EXIT_ARGUMENT
+        assert message in capsys.readouterr().err
+        assert not (out / "tfb.txt").exists()
+
     def test_bar_span_mismatch(self, tmp_path):
         spec_path = tmp_path / "spec.txt"
         bars_path = tmp_path / "bars.txt"
@@ -354,6 +384,17 @@ class TestEval:
         assert rep["precision"] == 0.0
         assert rep["empty_warning"] is True
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "0"])
+    def test_bad_tolerance_writes_no_report(self, tmp_path, capsys, tolerance):
+        est = tmp_path / "est.txt"
+        self.write_bounds(est, [0.0, 10.0, 20.0, 30.0])
+        out = tmp_path / "out"
+        rc = main(["eval", str(est), str(est), "--tolerances", f"0.5,{tolerance}",
+                   "--out", str(out)])
+        assert rc == EXIT_ARGUMENT
+        assert "tolerance must be finite and positive" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_unsorted_file_exit_code(self, tmp_path):
         est = tmp_path / "est.txt"
         est.write_text("0.0\n5.0\n2.0\n")
@@ -384,6 +425,16 @@ class TestBench:
         cfg = SolverConfig(beta=0.0, core_dims=(3, 3, 3), max_iters=3, rel_tol=0.0)
         assert manifest["config"] == as_json(cfg)
         assert manifest["config"]["loss_eval_period"] == 1
+        row = manifest["results"][0]
+        assert lines[1] == " ".join(f"{row[k]:.17g}" for k in lines[0].split())
+
+    def test_zero_iters_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["bench", "--dims", "4,4,4", "--core-dims", "2,2,2", "--iters", "0",
+                   "--out", str(out)])
+        assert rc == EXIT_ARGUMENT
+        assert "--iters must be >= 1, got 0" in capsys.readouterr().err
+        assert not (out / "bench.txt").exists()
 
 
 class TestModuleEntry:
