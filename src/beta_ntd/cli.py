@@ -17,7 +17,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from importlib.metadata import PackageNotFoundError, version
 from pathlib import Path
 
@@ -214,8 +214,12 @@ def cmd_eval(args, out_dir):
         seg.evaluate_boundaries(est, ref, float(t), exclude_endpoints=not args.include_endpoints)
         for t in args.tolerances.split(",")
     ]
-    for report in reports:
-        name = f"report_{report.tolerance:g}"
+    names = [f"report_{r.tolerance:g}" for r in reports]  # six significant digits
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"--tolerances {reports[names.index(name)].tolerance!r} and "
+                             f"{reports[i].tolerance!r} both name {name}")
+    for name, report in zip(names, reports):
         seg.write_report(out_dir / f"{name}.txt", out_dir / f"{name}.json", report)
     return (
         {"est": str(args.est), "ref": str(args.ref)},
@@ -235,20 +239,13 @@ def cmd_bench(args, out_dir):
     betas = [float(b) for b in args.betas.split(",")]
     rng = np.random.default_rng(args.seed)
     x = rng.uniform(0.1, 1.0, dims)
-    cfgs = [
-        SolverConfig(
-            beta=beta,
-            epsilon=args.epsilon,
-            core_dims=_parse_triple(args.core_dims, "--core-dims"),
-            max_iters=args.iters,
-            rel_tol=0.0,
-            seed=args.seed,
-        )
-        for beta in betas
-    ]
+    base = SolverConfig(epsilon=args.epsilon, core_dims=_parse_triple(args.core_dims, "--core-dims"),
+                        max_iters=args.iters, rel_tol=0.0, seed=args.seed)
+    cfgs = [replace(base, beta=beta) for beta in betas]
+    # one-iteration solves, so the warm-up overruns its time by one short solve
     warmup_iters, deadline = 0, time.perf_counter() + BENCH_WARMUP_SECONDS
     while time.perf_counter() < deadline:
-        warmup_iters += len(solve(x, cfgs[0])[1].iter_times)
+        warmup_iters += len(solve(x, replace(cfgs[0], max_iters=1))[1].iter_times)
     rows = []
     for cfg in cfgs:  # the times solve records around each of its iterations
         times = solve(x, cfg)[1].iter_times

@@ -108,7 +108,7 @@ def unchecked_objective(x, approx, beta, out=None, x_term=None):
         np.maximum(x, _TINY, out=r)
         r /= approx
         return float(np.vdot(x, np.log(r, out=r)) + np.sum(approx) - x_term)
-    power = np.power(approx, beta - 1.0, out=r)
+    power = approx if beta == 2.0 else np.power(approx, beta - 1.0, out=r)
     return float(
         (x_term + (beta - 1.0) * np.vdot(power, approx) - beta * np.vdot(x, power))
         / (beta * (beta - 1.0))

@@ -8,11 +8,10 @@ elementwise maximum against a small constant so entries never reach zero.
 
 Products work on the C-order view ``X.reshape(J*K, L)`` of the data X
 (J x K x L), modelled by the mode-3 basis W (H G) times Q^T. At beta=2 the
-updates are in Gram form and never build the model; at other beta the model
-and the MU terms go into a workspace that `solve` makes once, so its loop
-allocates nothing of the data's size. `solve` checks the data's domain
-once, from its minimum and maximum, and copies it only when clamping
-changes an entry; in the loop every entry is at least epsilon.
+updates are in Gram form and never build the model. Otherwise updates
+stream the view in slabs of whole mode-1 slices that stay in a core's L2
+cache, forming each slab's model and MU terms in place: nothing of the
+data's size is made. The loss pass also makes the next mode-1 products.
 """
 
 import math
@@ -28,11 +27,7 @@ from .errors import NumericalDomainError
 # contracted_unfolding, ew_power, matricize and multiway_product go unused
 # here; perfbench/spans.py rebinds them in this module to count their calls
 from .tensor_ops import (  # noqa: F401
-    clamp_min,
-    contracted_unfolding,
-    ew_power,
-    matricize,
-    multiway_product,
+    clamp_min, contracted_unfolding, ew_power, matricize, multiway_product,
 )
 
 _TINY = np.finfo(np.float64).tiny
@@ -80,10 +75,9 @@ class FactorSet:
     def copy(self):
         return FactorSet(self.w.copy(), self.h.copy(), self.q.copy(), self.core.copy())
 
-    def approximation(self, out=None):
-        """The model as a J x K x L array; a view of the (J*K) x L `out` if given."""
-        shape = (self.w.shape[0], self.h.shape[0], self.q.shape[0])
-        return np.matmul(_mode3_basis(self), self.q.T, out=out).reshape(shape)
+    def approximation(self):
+        """The model as a J x K x L array."""
+        return (_mode3_basis(self) @ self.q.T).reshape(len(self.w), len(self.h), len(self.q))
 
 
 @dataclass
@@ -111,20 +105,20 @@ def init_factors(data_dims, cfg):
     )
 
 
-class _Workspace:
-    """(J*K) x L model and scratch buffers for data `x`, the FactorSet whose
-    model `m3` holds, and ``X.reshape(J*K, L) @ Q`` for the last Q asked for."""
+_SLAB_ENTRIES = 38400  # data entries per slab, unless one mode-1 slice has more
 
-    def __init__(self, x):
-        self.x3 = x.reshape(-1, x.shape[2])
-        self.m3, self.scratch = np.empty(self.x3.shape), np.empty(x.shape)
-        self.s3 = self.scratch.reshape(self.x3.shape)
-        self.model_of = self._q = self._xq = None
 
-    def xq(self, q):
-        if self._q is not q:
-            self._xq, self._q = self.x3 @ q, q
-        return self._xq
+def _slabs(x, f, v=None):
+    """Cut ``X.reshape(J*K, L)`` into slabs of whole mode-1 slices. Per slab:
+    its data, its rows of the mode-3 basis `v` and model ``v[rows] @ Q^T``
+    (None without `v`) and a scratch array, in buffers the next slab reuses."""
+    j, k, l = x.shape
+    x3 = x.reshape(-1, l)
+    step = max(1, _SLAB_ENTRIES // (k * l)) * k
+    m, s = np.empty((min(step, j * k), l)), np.empty((min(step, j * k), l))
+    for lo in range(0, j * k, step):
+        xs, vs = x3[lo:lo + step], None if v is None else v[lo:lo + step]
+        yield xs, vs, None if v is None else np.matmul(vs, f.q.T, out=m[:len(xs)]), s[:len(xs)]
 
 
 def _mode3_basis(f):
@@ -135,14 +129,12 @@ def _mode3_basis(f):
     return (f.w @ hg.reshape(jc, -1)).reshape(-1, lc)
 
 
-def _mu_terms(f, ws, beta, basis=None):
-    """Overwrite the workspace with the arrays whose contractions give the
-    MU numerator and denominator for the model of `f` (built from `basis`
-    unless held already); at beta=1 the latter is all ones, returned as None."""
-    m, s, x = ws.m3, ws.s3, ws.x3
-    if ws.model_of is not f:
-        np.matmul(_mode3_basis(f) if basis is None else basis, f.q.T, out=m)
-    ws.model_of = None
+def _mu_terms(x, m, s, beta):
+    """The arrays whose contractions give the MU numerator and denominator
+    for data `x` and model `m`, made in `m` and scratch `s`. At beta=2 the
+    former is `x` and at beta=1 the latter is all ones (None either way)."""
+    if beta == 2.0:
+        return x, None
     if beta == 1.0:
         return np.divide(x, m, out=m), None
     if beta == 0.0:  # x / uv**2 and 1 / uv
@@ -154,28 +146,63 @@ def _mu_terms(f, ws, beta, basis=None):
     return np.multiply(s, x, out=s), m
 
 
+def _q_terms(x, f, beta, x_terms=None, v=None):
+    """The MU terms of :func:`_mu_terms` for the model of `f` (`v` its mode-3
+    basis if made), each times Q; and, given the data terms `x_terms` of
+    the slabs, the loss at `f` as the sum of theirs (else None)."""
+    # at beta=2 the MU term is the data, so only the loss needs the model
+    v = None if beta == 2.0 and x_terms is None else _mode3_basis(f) if v is None else v
+    j, k, l = x.shape
+    step = max(1, _SLAB_ENTRIES // (k * l)) * k
+    if step >= j * k:  # one slab: the loop's body, without its bookkeeping
+        x3 = x.reshape(-1, l)
+        m = None if v is None else v @ f.q.T
+        s = np.empty(x3.shape)
+        loss = None if x_terms is None else objective(x3, m, beta, s, x_terms[0])
+        n, d = _mu_terms(x3, m, s, beta)
+        return n @ f.q, None if d is None else d @ f.q, loss
+    loss = None if x_terms is None else 0.0
+    nq = np.empty((j * k, f.q.shape[1]))
+    dq = None if beta in (1.0, 2.0) else np.empty(nq.shape)
+    for i, (xs, _, m, s) in enumerate(_slabs(x, f, v)):
+        if x_terms is not None:
+            loss += objective(xs, m, beta, s, x_terms[i])
+        n, d = _mu_terms(xs, m, s, beta)
+        rows = slice(i * step, i * step + len(xs))
+        np.matmul(n, f.q, out=nq[rows])
+        if dq is not None:
+            np.matmul(d, f.q, out=dq[rows])
+    return nq, dq, loss
+
+
 def _scale(u, num, den, cfg):
     """u times the MU ratio num/den raised to gamma(beta), clamped."""
     ratio = num / den
     gamma = gamma_exponent(cfg.beta)
     if gamma != 1.0:
         ratio **= gamma
-    return clamp_min(u * ratio, cfg.epsilon)
+    ratio *= u
+    return np.maximum(ratio, cfg.epsilon, out=ratio)
 
 
-def update_mode_factor(x, f, mode, cfg, ws=None):
-    """One multiplicative update of the factor for `mode`. `ws` is the
-    workspace of `solve`; a call without one makes its own."""
-    ws = _Workspace(x) if ws is None else ws
+def update_mode_factor(x, f, mode, cfg, pre=None):
+    """One multiplicative update of the factor for `mode`. `pre`, if made
+    already, is the mode-3 basis of `f` for mode 3, and for modes 1 and 2
+    the first two results of ``_q_terms(x, f, cfg.beta)``."""
     j, k, l = x.shape
     jc, kc, lc = f.core.shape
     if mode == 3:
         # x.reshape(J*K, L) ~ V Q^T with V the mode-3 basis
-        v = _mode3_basis(f)
+        v = _mode3_basis(f) if pre is None else pre
         if cfg.beta == 2.0:
-            return _scale(f.q, ws.x3.T @ v, f.q @ (v.T @ v), cfg)
-        n, d = _mu_terms(f, ws, cfg.beta, v)
-        return _scale(f.q, n.T @ v, v.sum(axis=0) if d is None else d.T @ v, cfg)
+            return _scale(f.q, x.reshape(-1, l).T @ v, f.q @ (v.T @ v), cfg)
+        num = den = None
+        for xs, vs, m, s in _slabs(x, f, v):
+            n, d = _mu_terms(xs, m, s, cfg.beta)
+            num = n.T @ vs if num is None else num + n.T @ vs
+            if d is not None:
+                den = d.T @ vs if den is None else den + d.T @ vs
+        return _scale(f.q, num, v.sum(axis=0) if cfg.beta == 1.0 else den, cfg)
     # x ~ U V with V[a,n,l] = sum_c B[a,n,c] Q[l,c]: contract T with Q, then B
     if mode == 1:  # B = H x_2 G, J' x K x L'
         u, b = f.w, np.matmul(f.h, f.core)
@@ -193,19 +220,20 @@ def update_mode_factor(x, f, mode, cfg, ws=None):
             return tq.reshape(j, k, lc).transpose(1, 0, 2).reshape(k, -1) @ rows.T
     else:
         raise ValueError(f"mode must be 1, 2 or 3, got {mode!r}")
+    nq, dq = _q_terms(x, f, cfg.beta)[:2] if pre is None else pre
     if cfg.beta == 2.0:  # V V^T = B (Q^T Q) B^T, at core size
         den = u @ ((b @ (f.q.T @ f.q)).reshape(len(rows), -1) @ rows.T)
-        return _scale(u, contract(ws.xq(f.q)), den, cfg)
-    n, d = _mu_terms(f, ws, cfg.beta)
-    den = b.sum(axis=1) @ f.q.sum(axis=0) if d is None else contract(d @ f.q)
-    return _scale(u, contract(n @ f.q), den, cfg)
+    elif dq is None:
+        den = b.sum(axis=1) @ f.q.sum(axis=0)
+    else:
+        den = contract(dq)
+    return _scale(u, contract(nq), den, cfg)
 
 
-def update_core(x, f, cfg, ws=None):
+def update_core(x, f, cfg, v=None):
     """One multiplicative update of the core: the products with the
     transposed Kronecker matrix contract ``(J*K) x L`` arrays with Q, H
-    and W in turn. `ws` is as for :func:`update_mode_factor`."""
-    ws = _Workspace(x) if ws is None else ws
+    and W in turn. `v` is the mode-3 basis of `f` where already made."""
     j, k, l = x.shape
     shape = f.core.shape
 
@@ -213,48 +241,40 @@ def update_core(x, f, cfg, ws=None):
         t = np.matmul(f.h.T, tq.reshape(j, k, -1))  # (J, K', L')
         return (f.w.T @ t.reshape(j, -1)).reshape(shape)
 
+    nq, dq, _ = _q_terms(x, f, cfg.beta, v=v)
     if cfg.beta == 2.0:  # G x_1 W^T W x_2 H^T H x_3 Q^T Q
         wg = ((f.w.T @ f.w) @ f.core.reshape(shape[0], -1)).reshape(shape)
         den = np.matmul(f.h.T @ f.h, wg) @ (f.q.T @ f.q)
-        return _scale(f.core, contract(ws.xq(f.q)), den, cfg)
-    n, d = _mu_terms(f, ws, cfg.beta)
-    if d is None:  # the outer product of the factors' column sums
+    elif dq is None:  # the outer product of the factors' column sums
         den = np.multiply.outer(np.outer(f.w.sum(axis=0), f.h.sum(axis=0)), f.q.sum(axis=0))
     else:
-        den = contract(d @ f.q)
-    return _scale(f.core, contract(n @ f.q), den, cfg)
+        den = contract(dq)
+    return _scale(f.core, contract(nq), den, cfg)
 
 
-def iterate(x, f, cfg, ws=None):
-    """One full outer loop: update W, H, Q in order, then the core."""
-    ws = _Workspace(x) if ws is None else ws
-    f = FactorSet(update_mode_factor(x, f, 1, cfg, ws), f.h, f.q, f.core)
-    f = FactorSet(f.w, update_mode_factor(x, f, 2, cfg, ws), f.q, f.core)
-    f = FactorSet(f.w, f.h, update_mode_factor(x, f, 3, cfg, ws), f.core)
-    return FactorSet(f.w, f.h, f.q, update_core(x, f, cfg, ws))
+def iterate(x, f, cfg, pre=None):
+    """One full outer loop: update W, H, Q in order, then the core. `pre`
+    is the first two results of ``_q_terms(x, f, cfg.beta)``, if made."""
+    if cfg.beta == 2.0:  # pre is X Q, which does not depend on W: modes 1 and 2 share it
+        pre = pre or _q_terms(x, f, 2.0)[:2]
+    f = FactorSet(update_mode_factor(x, f, 1, cfg, pre), f.h, f.q, f.core)
+    pre = pre if cfg.beta == 2.0 else None
+    f = FactorSet(f.w, update_mode_factor(x, f, 2, cfg, pre), f.q, f.core)
+    v = _mode3_basis(f)  # it does not depend on Q, so mode 3 and the core share it
+    f = FactorSet(f.w, f.h, update_mode_factor(x, f, 3, cfg, v), f.core)
+    return FactorSet(f.w, f.h, f.q, update_core(x, f, cfg, v))
 
 
 def solve(x, cfg, init=None, clamp_data=None):
     """
-    Run multiplicative updates until the iteration budget is exhausted or
-    the relative loss decrease over one evaluation period falls below
-    cfg.rel_tol.
-
-    Parameters
-    ----------
-    x : ndarray, shape (J, K, L)
-        Nonnegative, finite, non-empty data tensor.
-    cfg : SolverConfig
-    init : FactorSet, optional
-        Starting point; a fresh seeded draw when omitted.
-    clamp_data : bool, optional
-        Clamp the data to cfg.epsilon before solving. Defaults to True
-        when beta <= 1 (where zero data entries make the divergence
-        undefined or unbounded) and False otherwise.
-
-    Returns
-    -------
-    (FactorSet, LossTrace)
+    Run multiplicative updates on the nonnegative, finite, non-empty
+    J x K x L tensor `x` from `init` (a seeded draw if omitted) until the
+    iteration budget is spent or the relative loss decrease over one
+    evaluation period falls below cfg.rel_tol; return (FactorSet, LossTrace).
+    `clamp_data` clamps the data to cfg.epsilon first, by default where
+    beta <= 1 (where zero entries make the divergence undefined or
+    unbounded). The domain is checked once, from the data's minimum and
+    maximum, and the data is copied only when clamping changes an entry.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 3:
@@ -272,23 +292,22 @@ def solve(x, cfg, init=None, clamp_data=None):
         check_domain(x, None, cfg.beta)  # raises, naming the first bad index
 
     f = init.copy() if init is not None else init_factors(x.shape, cfg)
-    ws = _Workspace(x)
-    x_term = data_term(x, cfg.beta, ws.scratch)
-    trace = LossTrace()
-    trace.losses.append(objective(x, f.approximation(ws.m3), cfg.beta, ws.scratch, x_term))
-    ws.model_of = f  # the loss's model serves the next mode-1 update
-    if not np.isfinite(trace.losses[0]):
+    x_terms = [data_term(xs, cfg.beta, s) for xs, _, _, s in _slabs(x, f)]
+    # each loss pass also makes the Q products that the next iterate takes
+    *pre, loss = _q_terms(x, f, cfg.beta, x_terms)
+    trace = LossTrace([loss])
+    if not math.isfinite(loss):
         raise NumericalDomainError("non-finite loss at the starting point")
 
-    last_eval = trace.losses[0]
+    last_eval = loss
     for it in range(1, cfg.max_iters + 1):
         t0 = time.perf_counter()
-        f = iterate(x, f, cfg, ws)
+        f = iterate(x, f, cfg, pre)
         trace.iter_times.append(time.perf_counter() - t0)
+        pre = None
         if it % cfg.loss_eval_period == 0 or it == cfg.max_iters:
-            loss = objective(x, f.approximation(ws.m3), cfg.beta, ws.scratch, x_term)
-            ws.model_of = f
-            if not np.isfinite(loss):
+            *pre, loss = _q_terms(x, f, cfg.beta, x_terms)
+            if not math.isfinite(loss):
                 raise NumericalDomainError(f"non-finite loss at iteration {it}")
             trace.losses.append(loss)
             if (last_eval - loss) / max(last_eval, _TINY) < cfg.rel_tol:

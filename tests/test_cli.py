@@ -395,6 +395,20 @@ class TestEval:
         assert "tolerance must be finite and positive" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("tolerances, message", [
+        ("0.5,0.5000001", "0.5 and 0.5000001 both name report_0.5"),
+        ("3,0.5,3.0", "3.0 and 3.0 both name report_3"),
+    ])
+    def test_colliding_report_names_write_nothing(self, tmp_path, capsys, tolerances, message):
+        # reports are named by the tolerance to six digits: one would overwrite another
+        est = tmp_path / "est.txt"
+        self.write_bounds(est, [0.0, 10.0, 20.0, 30.0])
+        out = tmp_path / "out"
+        rc = main(["eval", str(est), str(est), "--tolerances", tolerances, "--out", str(out)])
+        assert rc == EXIT_ARGUMENT
+        assert message in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_unsorted_file_exit_code(self, tmp_path):
         est = tmp_path / "est.txt"
         est.write_text("0.0\n5.0\n2.0\n")
@@ -427,6 +441,17 @@ class TestBench:
         assert manifest["config"]["loss_eval_period"] == 1
         row = manifest["results"][0]
         assert lines[1] == " ".join(f"{row[k]:.17g}" for k in lines[0].split())
+
+    def test_warmup_takes_short_solves(self, tmp_path, monkeypatch):
+        # a warm-up of whole --iters solves would run at least 400 iterations
+        monkeypatch.setattr(beta_ntd.cli, "BENCH_WARMUP_SECONDS", 0.02)
+        out = tmp_path / "out"
+        rc = main(["bench", "--dims", "10,10,10", "--core-dims", "4,4,4", "--iters", "400",
+                   "--out", str(out)])
+        assert rc == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert 1 <= manifest["warmup_iters"] < 400
+        assert manifest["results"][0]["iterations"] == 400
 
     def test_zero_iters_rejected(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -299,6 +299,21 @@ class TestSolve:
             tracemalloc.stop()
         assert peak <= 2.5 * x.nbytes, f"peak {peak / x.nbytes:.2f}x the data's bytes"
 
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 1.5, 2.0])
+    def test_peak_memory_below_half_the_data(self, beta):
+        # slabs of whole mode-1 slices: nothing of the data's size is made
+        k, l = 48, 100
+        j = 8 * max(1, beta_ntd.solver._SLAB_ENTRIES // (k * l))  # eight slabs
+        x = np.random.default_rng(27).uniform(0.1, 1.0, (j, k, l))
+        cfg = SolverConfig(beta=beta, core_dims=(8, 6, 4), max_iters=2, rel_tol=0.0)
+        tracemalloc.start()
+        try:
+            solve(x, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * x.nbytes, f"peak {peak / x.nbytes:.2f}x the data's bytes"
+
     def test_beta_le_one_clamps_zero_data_by_default(self):
         x = np.zeros((3, 3, 3))
         x[0, 0, 0] = 1.0
@@ -407,3 +422,44 @@ def test_solve_bit_identical_to_repeated_iterate(beta, period):
         g = iterate(x, g, cfg)
     for ours, public in zip((f.w, f.h, f.q, f.core), (g.w, g.h, g.q, g.core)):
         np.testing.assert_array_equal(ours, public)
+
+
+class TestSlabs:
+    """Data cut into several slabs, the last one thinner: 7 mode-1 slices of
+    3 x 4 entries in slabs of 2 slices."""
+
+    @pytest.fixture(autouse=True)
+    def four_slabs(self, monkeypatch):
+        monkeypatch.setattr(beta_ntd.solver, "_SLAB_ENTRIES", 24)
+        x, f, _ = _instance((7, 3, 4), (3, 2, 2), 1.0)
+        assert [len(xs) for xs, *_ in beta_ntd.solver._slabs(x, f)] == [6, 6, 6, 3]
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_updates_match_kron_oracle(self, beta):
+        x, f, cfg = _instance((7, 3, 4), (3, 2, 2), beta, seed=28)
+        for mode in (1, 2, 3):
+            ours = update_mode_factor(x, f, mode, cfg)
+            oracle = kron_update_factor(x, f, mode, beta, cfg.epsilon, matricize)
+            np.testing.assert_allclose(ours, oracle, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(
+            update_core(x, f, cfg), kron_update_core(x, f, beta, cfg.epsilon), rtol=1e-12, atol=0
+        )
+
+    @pytest.mark.parametrize("period", [1, 3])
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_solve_bit_identical_to_repeated_iterate(self, beta, period):
+        x, init, cfg = _instance((7, 3, 4), (3, 2, 2), beta, seed=29)
+        cfg = replace(cfg, max_iters=7, rel_tol=0.0, loss_eval_period=period)
+        f, _ = solve(x, cfg, init=init)
+        g = init
+        for _ in range(cfg.max_iters):
+            g = iterate(x, g, cfg)
+        for ours, public in zip((f.w, f.h, f.q, f.core), (g.w, g.h, g.q, g.core)):
+            np.testing.assert_array_equal(ours, public)
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_last_loss_matches_public_objective(self, beta):
+        x, init, cfg = _instance((7, 3, 4), (3, 2, 2), beta, seed=30)
+        f, trace = solve(x, replace(cfg, max_iters=4, rel_tol=0.0), init=init)
+        expected = objective(np.maximum(x, cfg.epsilon) if beta <= 1 else x, f.approximation(), beta)
+        assert trace.losses[-1] == pytest.approx(expected, rel=1e-12, abs=0)
