@@ -7,16 +7,20 @@ the freshest factors) and then the core, every update ending with an
 elementwise maximum against a small constant so entries never reach zero.
 
 Products work on the C-order view ``X.reshape(J*K, L)`` of the data X
-(J x K x L), modelled by the mode-3 basis W (H G) times Q^T. At beta=2 the
-updates are in Gram form and never build the model. Otherwise updates
-stream the view in slabs of whole mode-1 slices that stay in a core's L2
-cache, forming each slab's model and MU terms in place: nothing of the
-data's size is made. The loss pass also makes the next mode-1 products.
+(J x K x L), modelled by the mode-3 basis W (H G) times Q^T. Updates and
+losses stream the view in slabs of whole mode-1 slices that stay in L2
+cache with their model and MU terms, contracted per slab to factor size:
+nothing of the data's size is made. At beta=2 the denominators are in Gram
+form and only the loss builds a model. The loss pass also makes the next
+mode-1 update's products. `solve` checks the data's domain once, from its
+minimum and maximum, and copies it only when clamping changes an entry; in
+the loop every entry is at least epsilon.
 """
 
 import math
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -27,7 +31,11 @@ from .errors import NumericalDomainError
 # contracted_unfolding, ew_power, matricize and multiway_product go unused
 # here; perfbench/spans.py rebinds them in this module to count their calls
 from .tensor_ops import (  # noqa: F401
-    clamp_min, contracted_unfolding, ew_power, matricize, multiway_product,
+    clamp_min,
+    contracted_unfolding,
+    ew_power,
+    matricize,
+    multiway_product,
 )
 
 _TINY = np.finfo(np.float64).tiny
@@ -105,22 +113,6 @@ def init_factors(data_dims, cfg):
     )
 
 
-_SLAB_ENTRIES = 38400  # data entries per slab, unless one mode-1 slice has more
-
-
-def _slabs(x, f, v=None):
-    """Cut ``X.reshape(J*K, L)`` into slabs of whole mode-1 slices. Per slab:
-    its data, its rows of the mode-3 basis `v` and model ``v[rows] @ Q^T``
-    (None without `v`) and a scratch array, in buffers the next slab reuses."""
-    j, k, l = x.shape
-    x3 = x.reshape(-1, l)
-    step = max(1, _SLAB_ENTRIES // (k * l)) * k
-    m, s = np.empty((min(step, j * k), l)), np.empty((min(step, j * k), l))
-    for lo in range(0, j * k, step):
-        xs, vs = x3[lo:lo + step], None if v is None else v[lo:lo + step]
-        yield xs, vs, None if v is None else np.matmul(vs, f.q.T, out=m[:len(xs)]), s[:len(xs)]
-
-
 def _mode3_basis(f):
     """(J*K) x L' basis whose row j*K + k is sum_ab W[j,a] H[k,b] G[a,b,:],
     so that ``X.reshape(J*K, L)`` is modelled by ``basis @ Q.T``."""
@@ -129,50 +121,53 @@ def _mode3_basis(f):
     return (f.w @ hg.reshape(jc, -1)).reshape(-1, lc)
 
 
-def _mu_terms(x, m, s, beta):
-    """The arrays whose contractions give the MU numerator and denominator
-    for data `x` and model `m`, made in `m` and scratch `s`. At beta=2 the
-    former is `x` and at beta=1 the latter is all ones (None either way)."""
-    if beta == 2.0:
-        return x, None
-    if beta == 1.0:
-        return np.divide(x, m, out=m), None
-    if beta == 0.0:  # x / uv**2 and 1 / uv
-        np.reciprocal(m, out=s)
-        np.multiply(x, s, out=m)
-        return np.multiply(m, s, out=m), s
-    np.power(m, beta - 2.0, out=s)
-    np.multiply(m, s, out=m)
-    return np.multiply(s, x, out=s), m
+_SLAB_ENTRIES = 38400  # data entries per slab, unless one mode-1 slice has more
 
 
-def _q_terms(x, f, beta, x_terms=None, v=None):
-    """The MU terms of :func:`_mu_terms` for the model of `f` (`v` its mode-3
-    basis if made), each times Q; and, given the data terms `x_terms` of
-    the slabs, the loss at `f` as the sum of theirs (else None)."""
-    # at beta=2 the MU term is the data, so only the loss needs the model
-    v = None if beta == 2.0 and x_terms is None else _mode3_basis(f) if v is None else v
-    j, k, l = x.shape
-    step = max(1, _SLAB_ENTRIES // (k * l)) * k
-    if step >= j * k:  # one slab: the loop's body, without its bookkeeping
-        x3 = x.reshape(-1, l)
-        m = None if v is None else v @ f.q.T
-        s = np.empty(x3.shape)
-        loss = None if x_terms is None else objective(x3, m, beta, s, x_terms[0])
-        n, d = _mu_terms(x3, m, s, beta)
-        return n @ f.q, None if d is None else d @ f.q, loss
-    loss = None if x_terms is None else 0.0
-    nq = np.empty((j * k, f.q.shape[1]))
-    dq = None if beta in (1.0, 2.0) else np.empty(nq.shape)
-    for i, (xs, _, m, s) in enumerate(_slabs(x, f, v)):
+@lru_cache(maxsize=64)
+def _slabs(dims, entries):
+    """Cut J x K x L data into slabs of whole mode-1 slices, about `entries`
+    entries each: per slab, its mode-1 range and its rows of the (J*K) x L view."""
+    j, k, l = dims
+    bands = max(1, entries // (k * l))
+    return tuple((slice(a, a + bands), slice(a * k, (a + bands) * k)) for a in range(0, j, bands))
+
+
+def _pass(x, f, beta, share, combine=np.add, x_terms=None, v=None):
+    """Stream the data in :func:`_slabs`. Per slab: its model from the mode-3
+    basis `v` (made unless given; at beta=2 only for the loss), its loss
+    given the slabs' data terms, and ``share(t, r, rows)`` of its MU terms
+    n and d. Return n's and d's shares folded by `combine` (d's None at
+    beta 1 and 2, where d is all ones or the model) and the loss or None."""
+    x3 = x.reshape(-1, x.shape[2])
+    if beta == 2.0 and x_terms is None:  # the MU terms are the data: no model
+        v = None
+    elif v is None:
+        v = _mode3_basis(f)
+    nums, dens, loss = [], [], None if x_terms is None else 0.0
+    for i, (r, rows) in enumerate(_slabs(x.shape, _SLAB_ENTRIES)):
+        xs = x3[rows]
+        m = None if v is None else v[rows] @ f.q.T
+        s = None if m is None else np.empty(xs.shape)
         if x_terms is not None:
             loss += objective(xs, m, beta, s, x_terms[i])
-        n, d = _mu_terms(xs, m, s, beta)
-        rows = slice(i * step, i * step + len(xs))
-        np.matmul(n, f.q, out=nq[rows])
-        if dq is not None:
-            np.matmul(d, f.q, out=dq[rows])
-    return nq, dq, loss
+        # n and d are made in place in m and s
+        if beta == 2.0:
+            n, d = xs, None
+        elif beta == 1.0:
+            n, d = np.divide(xs, m, out=m), None
+        elif beta == 0.0:  # x / m**2 and 1 / m
+            d = np.reciprocal(m, out=s)
+            n = np.multiply(np.multiply(xs, s, out=m), s, out=m)
+        else:  # x m**(beta-2) and m**(beta-1)
+            np.power(m, beta - 2.0, out=s)
+            d = np.multiply(m, s, out=m)
+            n = np.multiply(s, xs, out=s)
+        nums.append(share(n, r, rows))
+        if d is not None:
+            dens.append(share(d, r, rows))
+        del m, s, n, d  # so that the next slab's arrays take their place
+    return reduce(combine, nums), reduce(combine, dens) if dens else None, loss
 
 
 def _scale(u, num, den, cfg):
@@ -185,81 +180,76 @@ def _scale(u, num, den, cfg):
     return np.maximum(ratio, cfg.epsilon, out=ratio)
 
 
-def update_mode_factor(x, f, mode, cfg, pre=None):
-    """One multiplicative update of the factor for `mode`. `pre`, if made
-    already, is the mode-3 basis of `f` for mode 3, and for modes 1 and 2
-    the first two results of ``_q_terms(x, f, cfg.beta)``."""
+def _mode1_terms(x, f, beta, x_terms=None):
+    """The MU numerator and denominator products of the mode-1 update at
+    `f`, each slab giving its rows of them, and the loss at `f` (:func:`_pass`)."""
+    b = np.matmul(f.h, f.core).reshape(len(f.core), -1)  # H x_2 G as J' x (K*L')
+    return _pass(x, f, beta, lambda t, r, rows: (t @ f.q).reshape(-1, b.shape[1]) @ b.T,
+                 lambda a, c: np.concatenate((a, c)), x_terms)
+
+
+def update_mode_factor(x, f, mode, cfg, v=None, terms=None):
+    """One multiplicative update of the factor for `mode`. `v` is the
+    mode-3 basis of `f` for mode 3, and `terms` the first two results of
+    ``_mode1_terms(x, f, cfg.beta)`` for mode 1, where already made."""
     j, k, l = x.shape
     jc, kc, lc = f.core.shape
     if mode == 3:
         # x.reshape(J*K, L) ~ V Q^T with V the mode-3 basis
-        v = _mode3_basis(f) if pre is None else pre
+        v = _mode3_basis(f) if v is None else v
         if cfg.beta == 2.0:
             return _scale(f.q, x.reshape(-1, l).T @ v, f.q @ (v.T @ v), cfg)
-        num = den = None
-        for xs, vs, m, s in _slabs(x, f, v):
-            n, d = _mu_terms(xs, m, s, cfg.beta)
-            num = n.T @ vs if num is None else num + n.T @ vs
-            if d is not None:
-                den = d.T @ vs if den is None else den + d.T @ vs
-        return _scale(f.q, num, v.sum(axis=0) if cfg.beta == 1.0 else den, cfg)
+        num, den, _ = _pass(x, f, cfg.beta, lambda t, r, rows: t.T @ v[rows], v=v)
+        return _scale(f.q, num, v.sum(axis=0) if den is None else den, cfg)
     # x ~ U V with V[a,n,l] = sum_c B[a,n,c] Q[l,c]: contract T with Q, then B
     if mode == 1:  # B = H x_2 G, J' x K x L'
         u, b = f.w, np.matmul(f.h, f.core)
-        rows = b.reshape(jc, -1)
-
-        def contract(tq):  # (J*K) x L' -> J x J'
-            return tq.reshape(j, -1) @ rows.T
+        num, den = _mode1_terms(x, f, cfg.beta)[:2] if terms is None else terms
     elif mode == 2:
-        # B = W x_1 G, K' x J x L'; one GEMM per product, where J per-slice
-        # matmuls would each wait on the BLAS threads
+        # B = W x_1 G, K' x J x L'; one GEMM per slab and product, where J
+        # per-slice matmuls would each wait on the BLAS threads
         u, b = f.h, (f.w @ f.core.reshape(jc, -1)).reshape(j, kc, lc).transpose(1, 0, 2)
         rows = b.reshape(kc, -1)  # a copy at factor-times-core size
 
-        def contract(tq):  # (J*K) x L' -> K x K', copying at J x K x L' size
-            return tq.reshape(j, k, lc).transpose(1, 0, 2).reshape(k, -1) @ rows.T
+        def share(t, r, _):  # slab rows x L -> K x K', copying at slab-times-L'/L size
+            tq = (t @ f.q).reshape(-1, k, lc).transpose(1, 0, 2).reshape(k, -1)
+            return tq @ rows[:, r.start * lc:r.stop * lc].T
+
+        num, den, _ = _pass(x, f, cfg.beta, share)
     else:
         raise ValueError(f"mode must be 1, 2 or 3, got {mode!r}")
-    nq, dq = _q_terms(x, f, cfg.beta)[:2] if pre is None else pre
     if cfg.beta == 2.0:  # V V^T = B (Q^T Q) B^T, at core size
-        den = u @ ((b @ (f.q.T @ f.q)).reshape(len(rows), -1) @ rows.T)
-    elif dq is None:
+        den = u @ ((b @ (f.q.T @ f.q)).reshape(len(b), -1) @ b.reshape(len(b), -1).T)
+    elif den is None:
         den = b.sum(axis=1) @ f.q.sum(axis=0)
-    else:
-        den = contract(dq)
-    return _scale(u, contract(nq), den, cfg)
+    return _scale(u, num, den, cfg)
 
 
 def update_core(x, f, cfg, v=None):
     """One multiplicative update of the core: the products with the
-    transposed Kronecker matrix contract ``(J*K) x L`` arrays with Q, H
+    transposed Kronecker matrix contract each slab's MU terms with Q, H
     and W in turn. `v` is the mode-3 basis of `f` where already made."""
-    j, k, l = x.shape
+    k = x.shape[1]
     shape = f.core.shape
 
-    def contract(tq):  # (J*K) x L' -> J' x K' x L'
-        t = np.matmul(f.h.T, tq.reshape(j, k, -1))  # (J, K', L')
-        return (f.w.T @ t.reshape(j, -1)).reshape(shape)
+    def share(t, r, _):  # slab rows x L -> J' x K' x L'
+        th = np.matmul(f.h.T, (t @ f.q).reshape(-1, k, shape[2]))  # (slices, K', L')
+        return (f.w[r].T @ th.reshape(len(th), -1)).reshape(shape)
 
-    nq, dq, _ = _q_terms(x, f, cfg.beta, v=v)
+    num, den, _ = _pass(x, f, cfg.beta, share, v=v)
     if cfg.beta == 2.0:  # G x_1 W^T W x_2 H^T H x_3 Q^T Q
         wg = ((f.w.T @ f.w) @ f.core.reshape(shape[0], -1)).reshape(shape)
         den = np.matmul(f.h.T @ f.h, wg) @ (f.q.T @ f.q)
-    elif dq is None:  # the outer product of the factors' column sums
+    elif den is None:  # the outer product of the factors' column sums
         den = np.multiply.outer(np.outer(f.w.sum(axis=0), f.h.sum(axis=0)), f.q.sum(axis=0))
-    else:
-        den = contract(dq)
-    return _scale(f.core, contract(nq), den, cfg)
+    return _scale(f.core, num, den, cfg)
 
 
-def iterate(x, f, cfg, pre=None):
-    """One full outer loop: update W, H, Q in order, then the core. `pre`
-    is the first two results of ``_q_terms(x, f, cfg.beta)``, if made."""
-    if cfg.beta == 2.0:  # pre is X Q, which does not depend on W: modes 1 and 2 share it
-        pre = pre or _q_terms(x, f, 2.0)[:2]
-    f = FactorSet(update_mode_factor(x, f, 1, cfg, pre), f.h, f.q, f.core)
-    pre = pre if cfg.beta == 2.0 else None
-    f = FactorSet(f.w, update_mode_factor(x, f, 2, cfg, pre), f.q, f.core)
+def iterate(x, f, cfg, terms=None):
+    """One full outer loop: update W, H, Q in order, then the core. `terms`
+    is as for mode 1 in :func:`update_mode_factor`."""
+    f = FactorSet(update_mode_factor(x, f, 1, cfg, terms=terms), f.h, f.q, f.core)
+    f = FactorSet(f.w, update_mode_factor(x, f, 2, cfg), f.q, f.core)
     v = _mode3_basis(f)  # it does not depend on Q, so mode 3 and the core share it
     f = FactorSet(f.w, f.h, update_mode_factor(x, f, 3, cfg, v), f.core)
     return FactorSet(f.w, f.h, f.q, update_core(x, f, cfg, v))
@@ -267,14 +257,25 @@ def iterate(x, f, cfg, pre=None):
 
 def solve(x, cfg, init=None, clamp_data=None):
     """
-    Run multiplicative updates on the nonnegative, finite, non-empty
-    J x K x L tensor `x` from `init` (a seeded draw if omitted) until the
-    iteration budget is spent or the relative loss decrease over one
-    evaluation period falls below cfg.rel_tol; return (FactorSet, LossTrace).
-    `clamp_data` clamps the data to cfg.epsilon first, by default where
-    beta <= 1 (where zero entries make the divergence undefined or
-    unbounded). The domain is checked once, from the data's minimum and
-    maximum, and the data is copied only when clamping changes an entry.
+    Run multiplicative updates until the iteration budget is exhausted or
+    the relative loss decrease over one evaluation period falls below
+    cfg.rel_tol.
+
+    Parameters
+    ----------
+    x : ndarray, shape (J, K, L)
+        Nonnegative, finite, non-empty data tensor.
+    cfg : SolverConfig
+    init : FactorSet, optional
+        Starting point; a fresh seeded draw when omitted.
+    clamp_data : bool, optional
+        Clamp the data to cfg.epsilon before solving. Defaults to True
+        when beta <= 1 (where zero data entries make the divergence
+        undefined or unbounded) and False otherwise.
+
+    Returns
+    -------
+    (FactorSet, LossTrace)
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 3:
@@ -292,9 +293,9 @@ def solve(x, cfg, init=None, clamp_data=None):
         check_domain(x, None, cfg.beta)  # raises, naming the first bad index
 
     f = init.copy() if init is not None else init_factors(x.shape, cfg)
-    x_terms = [data_term(xs, cfg.beta, s) for xs, _, _, s in _slabs(x, f)]
-    # each loss pass also makes the Q products that the next iterate takes
-    *pre, loss = _q_terms(x, f, cfg.beta, x_terms)
+    x_terms = [data_term(x[r], cfg.beta) for r, _ in _slabs(x.shape, _SLAB_ENTRIES)]
+    # each loss pass also makes the next mode-1 update's numerator and denominator
+    *terms, loss = _mode1_terms(x, f, cfg.beta, x_terms)
     trace = LossTrace([loss])
     if not math.isfinite(loss):
         raise NumericalDomainError("non-finite loss at the starting point")
@@ -302,11 +303,11 @@ def solve(x, cfg, init=None, clamp_data=None):
     last_eval = loss
     for it in range(1, cfg.max_iters + 1):
         t0 = time.perf_counter()
-        f = iterate(x, f, cfg, pre)
+        f = iterate(x, f, cfg, terms)
         trace.iter_times.append(time.perf_counter() - t0)
-        pre = None
+        terms = None
         if it % cfg.loss_eval_period == 0 or it == cfg.max_iters:
-            *pre, loss = _q_terms(x, f, cfg.beta, x_terms)
+            *terms, loss = _mode1_terms(x, f, cfg.beta, x_terms)
             if not math.isfinite(loss):
                 raise NumericalDomainError(f"non-finite loss at iteration {it}")
             trace.losses.append(loss)

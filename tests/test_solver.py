@@ -302,9 +302,8 @@ class TestSolve:
     @pytest.mark.parametrize("beta", [0.0, 1.0, 1.5, 2.0])
     def test_peak_memory_below_half_the_data(self, beta):
         # slabs of whole mode-1 slices: nothing of the data's size is made
-        k, l = 48, 100
-        j = 8 * max(1, beta_ntd.solver._SLAB_ENTRIES // (k * l))  # eight slabs
-        x = np.random.default_rng(27).uniform(0.1, 1.0, (j, k, l))
+        x = np.random.default_rng(27).uniform(0.1, 1.0, (64, 48, 100))
+        assert len(beta_ntd.solver._slabs(x.shape, beta_ntd.solver._SLAB_ENTRIES)) >= 8
         cfg = SolverConfig(beta=beta, core_dims=(8, 6, 4), max_iters=2, rel_tol=0.0)
         tracemalloc.start()
         try:
@@ -411,9 +410,9 @@ def test_solve_last_loss_matches_public_objective(inst, iters):
 @pytest.mark.parametrize("period", [1, 3])
 @pytest.mark.parametrize("beta", BETAS)
 def test_solve_bit_identical_to_repeated_iterate(beta, period):
-    # solve's workspace, the loss's model reused by the next mode-1 update
-    # and the X Q product shared by the core and the next mode-1 and mode-2
-    # updates must not change one bit of the iterates
+    # the mode-1 products that solve's loss pass hands to the next iterate
+    # and the mode-3 basis shared by mode 3 and the core must not change
+    # one bit of the iterates
     x, init, cfg = _instance((7, 6, 5), (3, 2, 4), beta, seed=5)
     cfg = replace(cfg, max_iters=7, rel_tol=0.0, loss_eval_period=period)
     f, _ = solve(x, cfg, init=init)
@@ -432,7 +431,7 @@ class TestSlabs:
     def four_slabs(self, monkeypatch):
         monkeypatch.setattr(beta_ntd.solver, "_SLAB_ENTRIES", 24)
         x, f, _ = _instance((7, 3, 4), (3, 2, 2), 1.0)
-        assert [len(xs) for xs, *_ in beta_ntd.solver._slabs(x, f)] == [6, 6, 6, 3]
+        assert [len(x[r]) for r, _ in beta_ntd.solver._slabs(x.shape, 24)] == [2, 2, 2, 1]
 
     @pytest.mark.parametrize("beta", BETAS)
     def test_updates_match_kron_oracle(self, beta):
