@@ -3,7 +3,8 @@ tensor with a 32^3 core, and how the cost scales with the number of bars.
 Each update works on a C-order view of the tensor, so an iteration is a
 few matrix products plus one elementwise pass over the tensor per update.
 The times are the ones `solve` records around each iteration of its own
-loop, as `beta-ntd bench` reports them; rel_tol 0 keeps every iteration."""
+loop, the loss evaluation that follows it included, as `beta-ntd bench`
+reports them; rel_tol 0 keeps every iteration."""
 
 import numpy as np
 

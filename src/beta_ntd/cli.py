@@ -68,13 +68,14 @@ def _solver_config(args):
     )
 
 
-def _add_solver_flags(p):
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--core-dims", default="8,8,8", metavar="J,K,L")
-    p.add_argument("--epsilon", type=float, default=1e-12)
-    p.add_argument("--max-iters", type=int, default=500)
-    p.add_argument("--rel-tol", type=float, default=1e-8)
-    p.add_argument("--seed", type=int, default=0)
+def _add_solver_flags(p, names=("beta", "core_dims", "epsilon", "max_iters", "rel_tol", "seed")):
+    """One flag per named SolverConfig field, defaulting to the field's default."""
+    for name in names:
+        default = getattr(SolverConfig(), name)
+        if name == "core_dims":
+            p.add_argument("--core-dims", default=",".join(map(str, default)), metavar="J,K,L")
+        else:
+            p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
 
 
 def _environment():
@@ -311,11 +312,9 @@ def build_parser():
 
     p = sub.add_parser("bench", help="time solver iterations on seeded random data")
     p.add_argument("--dims", required=True, metavar="J,K,L")
-    p.add_argument("--core-dims", default="8,8,8", metavar="J,K,L")
+    _add_solver_flags(p, ("core_dims", "epsilon", "seed"))
     p.add_argument("--betas", default="1")
     p.add_argument("--iters", type=int, default=10)
-    p.add_argument("--epsilon", type=float, default=1e-12)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, metavar="DIR")
     p.set_defaults(func=cmd_bench)
 

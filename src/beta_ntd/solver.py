@@ -91,7 +91,8 @@ class FactorSet:
 @dataclass
 class LossTrace:
     """Objective values (index 0 is the pre-iteration loss), per-iteration
-    wall-clock times, and the iteration at which the stopping rule fired."""
+    wall-clock times (each with the iteration's loss evaluation, if any),
+    and the iteration at which the stopping rule fired."""
 
     losses: list = field(default_factory=list)
     iter_times: list = field(default_factory=list)
@@ -188,18 +189,17 @@ def _mode1_terms(x, f, beta, x_terms=None):
                  lambda a, c: np.concatenate((a, c)), x_terms)
 
 
-def update_mode_factor(x, f, mode, cfg, v=None, terms=None):
-    """One multiplicative update of the factor for `mode`. `v` is the
-    mode-3 basis of `f` for mode 3, and `terms` the first two results of
-    ``_mode1_terms(x, f, cfg.beta)`` for mode 1, where already made."""
-    j, k, l = x.shape
+def update_mode_factor(x, f, mode, cfg, terms=None):
+    """One multiplicative update of the factor for `mode`. `terms` is the
+    first two results of ``_mode1_terms(x, f, cfg.beta)`` for mode 1,
+    where already made."""
+    j, k, _ = x.shape
     jc, kc, lc = f.core.shape
-    if mode == 3:
-        # x.reshape(J*K, L) ~ V Q^T with V the mode-3 basis
-        v = _mode3_basis(f) if v is None else v
-        if cfg.beta == 2.0:
-            return _scale(f.q, x.reshape(-1, l).T @ v, f.q @ (v.T @ v), cfg)
+    if mode == 3:  # x.reshape(J*K, L) ~ V Q^T with V the mode-3 basis
+        v = _mode3_basis(f)
         num, den, _ = _pass(x, f, cfg.beta, lambda t, r, rows: t.T @ v[rows], v=v)
+        if cfg.beta == 2.0:
+            den = f.q @ (v.T @ v)
         return _scale(f.q, num, v.sum(axis=0) if den is None else den, cfg)
     # x ~ U V with V[a,n,l] = sum_c B[a,n,c] Q[l,c]: contract T with Q, then B
     if mode == 1:  # B = H x_2 G, J' x K x L'
@@ -225,10 +225,10 @@ def update_mode_factor(x, f, mode, cfg, v=None, terms=None):
     return _scale(u, num, den, cfg)
 
 
-def update_core(x, f, cfg, v=None):
+def update_core(x, f, cfg):
     """One multiplicative update of the core: the products with the
     transposed Kronecker matrix contract each slab's MU terms with Q, H
-    and W in turn. `v` is the mode-3 basis of `f` where already made."""
+    and W in turn."""
     k = x.shape[1]
     shape = f.core.shape
 
@@ -236,7 +236,7 @@ def update_core(x, f, cfg, v=None):
         th = np.matmul(f.h.T, (t @ f.q).reshape(-1, k, shape[2]))  # (slices, K', L')
         return (f.w[r].T @ th.reshape(len(th), -1)).reshape(shape)
 
-    num, den, _ = _pass(x, f, cfg.beta, share, v=v)
+    num, den, _ = _pass(x, f, cfg.beta, share)
     if cfg.beta == 2.0:  # G x_1 W^T W x_2 H^T H x_3 Q^T Q
         wg = ((f.w.T @ f.w) @ f.core.reshape(shape[0], -1)).reshape(shape)
         den = np.matmul(f.h.T @ f.h, wg) @ (f.q.T @ f.q)
@@ -250,9 +250,8 @@ def iterate(x, f, cfg, terms=None):
     is as for mode 1 in :func:`update_mode_factor`."""
     f = FactorSet(update_mode_factor(x, f, 1, cfg, terms=terms), f.h, f.q, f.core)
     f = FactorSet(f.w, update_mode_factor(x, f, 2, cfg), f.q, f.core)
-    v = _mode3_basis(f)  # it does not depend on Q, so mode 3 and the core share it
-    f = FactorSet(f.w, f.h, update_mode_factor(x, f, 3, cfg, v), f.core)
-    return FactorSet(f.w, f.h, f.q, update_core(x, f, cfg, v))
+    f = FactorSet(f.w, f.h, update_mode_factor(x, f, 3, cfg), f.core)
+    return FactorSet(f.w, f.h, f.q, update_core(x, f, cfg))
 
 
 def solve(x, cfg, init=None, clamp_data=None):
@@ -304,15 +303,16 @@ def solve(x, cfg, init=None, clamp_data=None):
     for it in range(1, cfg.max_iters + 1):
         t0 = time.perf_counter()
         f = iterate(x, f, cfg, terms)
-        trace.iter_times.append(time.perf_counter() - t0)
         terms = None
         if it % cfg.loss_eval_period == 0 or it == cfg.max_iters:
             *terms, loss = _mode1_terms(x, f, cfg.beta, x_terms)
             if not math.isfinite(loss):
                 raise NumericalDomainError(f"non-finite loss at iteration {it}")
             trace.losses.append(loss)
-            if (last_eval - loss) / max(last_eval, _TINY) < cfg.rel_tol:
-                trace.converged_at = it
-                break
-            last_eval = loss
+        trace.iter_times.append(time.perf_counter() - t0)  # its loss pass included
+        # between evaluations loss is last_eval, which must not read as converged
+        if terms is not None and (last_eval - loss) / max(last_eval, _TINY) < cfg.rel_tol:
+            trace.converged_at = it
+            break
+        last_eval = loss
     return f, trace

@@ -252,6 +252,12 @@ class TestDecompose:
         assert config == as_json(cfg)
         assert config["loss_eval_period"] == 1
 
+    def test_flag_defaults_are_the_solver_defaults(self, small_tensor, tmp_path):
+        out = tmp_path / "out"
+        assert main(["decompose", str(small_tensor), "--out", str(out)]) == EXIT_OK
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config == as_json(SolverConfig())
+
 
 def synthetic_song(tmp_path, seed=0, nbars=16, seam_every=8):
     rng = np.random.default_rng(seed)

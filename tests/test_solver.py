@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -288,7 +289,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("beta", [0.0, 1.0, 2.0])
     def test_peak_memory_on_data_above_epsilon(self, beta):
-        # the workspace's two buffers, and no clamp copy of data that is >= epsilon
+        # the peak stays near the data's size: no clamp copy of data that is >= epsilon
         x = np.random.default_rng(25).uniform(0.1, 1.0, (40, 48, 50))
         cfg = SolverConfig(beta=beta, core_dims=(8, 6, 4), max_iters=2, rel_tol=0.0)
         tracemalloc.start()
@@ -340,6 +341,22 @@ class TestSolve:
         f, trace = solve(x, cfg)
         assert len(trace.iter_times) == 10
         assert len(trace.losses) == 3  # initial + iterations 5 and 10
+
+    # the sleeps in each iteration: mode 1 makes its products unless the
+    # previous loss pass made them, and each loss pass makes the next ones
+    @pytest.mark.parametrize("period, sleeps", [(1, [1, 1, 1]), (3, [0, 1, 2])])
+    def test_iteration_time_includes_its_loss_pass(self, period, sleeps, monkeypatch):
+        make = beta_ntd.solver._mode1_terms
+
+        def slow(*args, **kwargs):
+            time.sleep(0.01)
+            return make(*args, **kwargs)
+
+        monkeypatch.setattr(beta_ntd.solver, "_mode1_terms", slow)
+        x = np.random.default_rng(26).uniform(0.1, 1.0, (4, 4, 4))
+        cfg = SolverConfig(core_dims=(2, 2, 2), max_iters=3, rel_tol=0.0, loss_eval_period=period)
+        times = solve(x, cfg)[1].iter_times
+        assert all(t >= 0.01 * n for t, n in zip(times, sleeps, strict=True)), times
 
 
 def test_config_validation():
