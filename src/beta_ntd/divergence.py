@@ -89,11 +89,13 @@ def data_term(x, beta, out=None):
     return np.sum(x) if beta == 1.0 else np.sum(np.power(x, beta, out=out))
 
 
-def unchecked_objective(x, approx, beta, out=None, x_term=None):
+def unchecked_objective(x, approx, beta, out=None, x_term=None, ratio_in_out=False):
     """:func:`objective` without its checks, for callers that checked once
     that `x` is finite and nonnegative (positive at beta=0), `approx`
     positive where beta <= 1, and both are same-shaped float arrays; the
-    scratch `out` and ``x_term = data_term(x, beta)`` are made if omitted."""
+    scratch `out` and ``x_term = data_term(x, beta)`` are made if omitted.
+    At beta=1, `ratio_in_out` says that `out` already holds x/approx, which
+    is the loss's max(x, tiny)/approx where every x is at least tiny."""
     # one scratch array: a fresh large temporary costs more in page faults
     # than the arithmetic done in it
     r = np.empty(np.shape(x)) if out is None else out
@@ -105,8 +107,8 @@ def unchecked_objective(x, approx, beta, out=None, x_term=None):
     if beta == 1.0:
         # 0 * log(0) = 0: zero entries enter the logarithm as the smallest
         # normal float, which their zero weight cancels
-        np.maximum(x, _TINY, out=r)
-        r /= approx
+        if not ratio_in_out:
+            np.divide(np.maximum(x, _TINY, out=r), approx, out=r)
         return float(np.vdot(x, np.log(r, out=r)) + np.sum(approx) - x_term)
     power = approx if beta == 2.0 else np.power(approx, beta - 1.0, out=r)
     return float(

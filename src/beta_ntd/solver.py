@@ -10,17 +10,18 @@ Products work on the C-order view ``X.reshape(J*K, L)`` of the data X
 (J x K x L), modelled by the mode-3 basis W (H G) times Q^T. Updates and
 losses stream the view in slabs of whole mode-1 slices that stay in L2
 cache with their model and MU terms, contracted per slab to factor size:
-nothing of the data's size is made. At beta=2 the denominators are in Gram
-form and only the loss builds a model. The loss pass also makes the next
-mode-1 update's products. `solve` checks the data's domain once, from its
-minimum and maximum, and copies it only when clamping changes an entry; in
-the loop every entry is at least epsilon.
+nothing of the data's size is made. `solve` plans the slabs once, with one
+model and one scratch buffer that every slab reuses. At beta=2 the
+denominators are in Gram form and only the loss builds a model. The loss
+pass also makes the next mode-1 update's products, and its x/m at beta=1;
+a beta=2 mode-1 pass hands its X Q to mode 2. `solve` checks the data's
+domain once, from its minimum and maximum, and copies it only when
+clamping changes an entry; in the loop every entry is at least epsilon.
 """
 
 import math
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -125,7 +126,6 @@ def _mode3_basis(f):
 _SLAB_ENTRIES = 38400  # data entries per slab, unless one mode-1 slice has more
 
 
-@lru_cache(maxsize=64)
 def _slabs(dims, entries):
     """Cut J x K x L data into slabs of whole mode-1 slices, about `entries`
     entries each: per slab, its mode-1 range and its rows of the (J*K) x L view."""
@@ -134,29 +134,45 @@ def _slabs(dims, entries):
     return tuple((slice(a, a + bands), slice(a * k, (a + bands) * k)) for a in range(0, j, bands))
 
 
-def _pass(x, f, beta, share, combine=np.add, x_terms=None, v=None):
-    """Stream the data in :func:`_slabs`. Per slab: its model from the mode-3
-    basis `v` (made unless given; at beta=2 only for the loss), its loss
-    given the slabs' data terms, and ``share(t, r, rows)`` of its MU terms
-    n and d. Return n's and d's shares folded by `combine` (d's None at
-    beta 1 and 2, where d is all ones or the model) and the loss or None."""
-    x3 = x.reshape(-1, x.shape[2])
-    if beta == 2.0 and x_terms is None:  # the MU terms are the data: no model
+class _Plan:
+    """Per slab of data `x`: its mode-1 range, rows of ``x.reshape(J*K, L)``,
+    their view and (given `beta`) data term; model and scratch buffers of the
+    first (largest) slab's size; ``(Q, X Q)`` from the last mode-1 pass, for
+    mode 2 at beta=2; and whether x/m is the beta=1 loss's max(x, tiny)/m."""
+
+    def __init__(self, x, beta=None, lo=0.0):
+        self.x3 = x3 = x.reshape(-1, x.shape[2])
+        self.slabs = [(r, rows, x3[rows], None if beta is None else data_term(x[r], beta))
+                      for r, rows in _slabs(x.shape, _SLAB_ENTRIES)]
+        self.model, self.scratch = np.empty((2,) + self.slabs[0][2].shape)
+        self.shared_ratio = lo >= _TINY
+        self.xq = None, None
+
+
+def _pass(plan, f, beta, share, combine=np.add, losses=False, v=None):
+    """Stream the data in the plan's slabs. Per slab: its model from the
+    mode-3 basis `v` (made unless given; at beta=2 only for the loss), its
+    loss if `losses`, and ``share(t, r, rows)`` of its MU terms n and d.
+    Return n's and d's shares folded by `combine` (d's None at beta 1 and
+    2, where d is all ones or the model) and the loss or None."""
+    if beta == 2.0 and not losses:  # the MU terms are the data: no model
         v = None
     elif v is None:
         v = _mode3_basis(f)
-    nums, dens, loss = [], [], None if x_terms is None else 0.0
-    for i, (r, rows) in enumerate(_slabs(x.shape, _SLAB_ENTRIES)):
-        xs = x3[rows]
-        m = None if v is None else v[rows] @ f.q.T
-        s = None if m is None else np.empty(xs.shape)
-        if x_terms is not None:
-            loss += objective(xs, m, beta, s, x_terms[i])
+    qt = None if v is None else np.ascontiguousarray(f.q.T)
+    shared = losses and beta == 1.0 and plan.shared_ratio
+    num, den, loss = None, None, 0.0 if losses else None
+    for r, rows, xs, x_term in plan.slabs:
+        if v is not None:
+            m = np.matmul(v[rows], qt, out=plan.model[:len(xs)])
+            s = plan.scratch[:len(xs)]
+        if losses and not shared:
+            loss += objective(xs, m, beta, s, x_term)
         # n and d are made in place in m and s
         if beta == 2.0:
             n, d = xs, None
         elif beta == 1.0:
-            n, d = np.divide(xs, m, out=m), None
+            n, d = np.divide(xs, m, out=s if shared else m), None
         elif beta == 0.0:  # x / m**2 and 1 / m
             d = np.reciprocal(m, out=s)
             n = np.multiply(np.multiply(xs, s, out=m), s, out=m)
@@ -164,11 +180,12 @@ def _pass(x, f, beta, share, combine=np.add, x_terms=None, v=None):
             np.power(m, beta - 2.0, out=s)
             d = np.multiply(m, s, out=m)
             n = np.multiply(s, xs, out=s)
-        nums.append(share(n, r, rows))
+        num = share(n, r, rows) if num is None else combine(num, share(n, r, rows))
         if d is not None:
-            dens.append(share(d, r, rows))
-        del m, s, n, d  # so that the next slab's arrays take their place
-    return reduce(combine, nums), reduce(combine, dens) if dens else None, loss
+            den = share(d, r, rows) if den is None else combine(den, share(d, r, rows))
+        if shared:  # the loss takes its log of x/m in s, once the share has read it
+            loss += objective(xs, m, beta, s, x_term, ratio_in_out=True)
+    return num, den, loss
 
 
 def _scale(u, num, den, cfg):
@@ -181,41 +198,52 @@ def _scale(u, num, den, cfg):
     return np.maximum(ratio, cfg.epsilon, out=ratio)
 
 
-def _mode1_terms(x, f, beta, x_terms=None):
+def _mode1_terms(plan, f, beta, losses=False):
     """The MU numerator and denominator products of the mode-1 update at
-    `f`, each slab giving its rows of them, and the loss at `f` (:func:`_pass`)."""
+    `f`, each slab giving its rows of them, and the loss at `f` if `losses`
+    (:func:`_pass`). At beta=2 the plan keeps ``X Q`` for mode 2."""
     b = np.matmul(f.h, f.core).reshape(len(f.core), -1)  # H x_2 G as J' x (K*L')
-    return _pass(x, f, beta, lambda t, r, rows: (t @ f.q).reshape(-1, b.shape[1]) @ b.T,
-                 lambda a, c: np.concatenate((a, c)), x_terms)
+    xq = np.empty((len(plan.x3), f.q.shape[1])) if beta == 2.0 else None
+    plan.xq = f.q, xq
+
+    def share(t, r, rows):
+        tq = t @ f.q if xq is None else np.matmul(t, f.q, out=xq[rows])
+        return tq.reshape(-1, b.shape[1]) @ b.T
+
+    return _pass(plan, f, beta, share, lambda a, c: np.concatenate((a, c)), losses)
 
 
-def update_mode_factor(x, f, mode, cfg, terms=None):
+def update_mode_factor(x, f, mode, cfg, terms=None, plan=None):
     """One multiplicative update of the factor for `mode`. `terms` is the
-    first two results of ``_mode1_terms(x, f, cfg.beta)`` for mode 1,
-    where already made."""
+    first two results of ``_mode1_terms(plan, f, cfg.beta)`` for mode 1,
+    where already made; `plan`, made if omitted, is the :class:`_Plan` of `x`."""
     j, k, _ = x.shape
     jc, kc, lc = f.core.shape
+    plan = _Plan(x) if plan is None else plan
     if mode == 3:  # x.reshape(J*K, L) ~ V Q^T with V the mode-3 basis
         v = _mode3_basis(f)
-        num, den, _ = _pass(x, f, cfg.beta, lambda t, r, rows: t.T @ v[rows], v=v)
+        num, den, _ = _pass(plan, f, cfg.beta, lambda t, r, rows: t.T @ v[rows], v=v)
         if cfg.beta == 2.0:
             den = f.q @ (v.T @ v)
         return _scale(f.q, num, v.sum(axis=0) if den is None else den, cfg)
     # x ~ U V with V[a,n,l] = sum_c B[a,n,c] Q[l,c]: contract T with Q, then B
     if mode == 1:  # B = H x_2 G, J' x K x L'
         u, b = f.w, np.matmul(f.h, f.core)
-        num, den = _mode1_terms(x, f, cfg.beta)[:2] if terms is None else terms
+        num, den = _mode1_terms(plan, f, cfg.beta)[:2] if terms is None else terms
     elif mode == 2:
         # B = W x_1 G, K' x J x L'; one GEMM per slab and product, where J
         # per-slice matmuls would each wait on the BLAS threads
         u, b = f.h, (f.w @ f.core.reshape(jc, -1)).reshape(j, kc, lc).transpose(1, 0, 2)
         rows = b.reshape(kc, -1)  # a copy at factor-times-core size
+        (q, xq), plan.xq = plan.xq, (None, None)  # handed over once, valid for one Q
+        xq = xq if q is f.q else None
 
-        def share(t, r, _):  # slab rows x L -> K x K', copying at slab-times-L'/L size
-            tq = (t @ f.q).reshape(-1, k, lc).transpose(1, 0, 2).reshape(k, -1)
+        def share(t, r, slab_rows):  # slab rows x L -> K x K', copying at slab-times-L'/L size
+            tq = t @ f.q if xq is None else xq[slab_rows]
+            tq = tq.reshape(-1, k, lc).transpose(1, 0, 2).reshape(k, -1)
             return tq @ rows[:, r.start * lc:r.stop * lc].T
 
-        num, den, _ = _pass(x, f, cfg.beta, share)
+        num, den, _ = _pass(plan, f, cfg.beta, share)
     else:
         raise ValueError(f"mode must be 1, 2 or 3, got {mode!r}")
     if cfg.beta == 2.0:  # V V^T = B (Q^T Q) B^T, at core size
@@ -225,10 +253,10 @@ def update_mode_factor(x, f, mode, cfg, terms=None):
     return _scale(u, num, den, cfg)
 
 
-def update_core(x, f, cfg):
+def update_core(x, f, cfg, plan=None):
     """One multiplicative update of the core: the products with the
     transposed Kronecker matrix contract each slab's MU terms with Q, H
-    and W in turn."""
+    and W in turn. `plan` is as for :func:`update_mode_factor`."""
     k = x.shape[1]
     shape = f.core.shape
 
@@ -236,7 +264,7 @@ def update_core(x, f, cfg):
         th = np.matmul(f.h.T, (t @ f.q).reshape(-1, k, shape[2]))  # (slices, K', L')
         return (f.w[r].T @ th.reshape(len(th), -1)).reshape(shape)
 
-    num, den, _ = _pass(x, f, cfg.beta, share)
+    num, den, _ = _pass(_Plan(x) if plan is None else plan, f, cfg.beta, share)
     if cfg.beta == 2.0:  # G x_1 W^T W x_2 H^T H x_3 Q^T Q
         wg = ((f.w.T @ f.w) @ f.core.reshape(shape[0], -1)).reshape(shape)
         den = np.matmul(f.h.T @ f.h, wg) @ (f.q.T @ f.q)
@@ -245,13 +273,13 @@ def update_core(x, f, cfg):
     return _scale(f.core, num, den, cfg)
 
 
-def iterate(x, f, cfg, terms=None):
+def iterate(x, f, cfg, terms=None, plan=None):
     """One full outer loop: update W, H, Q in order, then the core. `terms`
-    is as for mode 1 in :func:`update_mode_factor`."""
-    f = FactorSet(update_mode_factor(x, f, 1, cfg, terms=terms), f.h, f.q, f.core)
-    f = FactorSet(f.w, update_mode_factor(x, f, 2, cfg), f.q, f.core)
-    f = FactorSet(f.w, f.h, update_mode_factor(x, f, 3, cfg), f.core)
-    return FactorSet(f.w, f.h, f.q, update_core(x, f, cfg))
+    and `plan` are as for :func:`update_mode_factor`."""
+    f = FactorSet(update_mode_factor(x, f, 1, cfg, terms=terms, plan=plan), f.h, f.q, f.core)
+    f = FactorSet(f.w, update_mode_factor(x, f, 2, cfg, plan=plan), f.q, f.core)
+    f = FactorSet(f.w, f.h, update_mode_factor(x, f, 3, cfg, plan=plan), f.core)
+    return FactorSet(f.w, f.h, f.q, update_core(x, f, cfg, plan=plan))
 
 
 def solve(x, cfg, init=None, clamp_data=None):
@@ -292,9 +320,9 @@ def solve(x, cfg, init=None, clamp_data=None):
         check_domain(x, None, cfg.beta)  # raises, naming the first bad index
 
     f = init.copy() if init is not None else init_factors(x.shape, cfg)
-    x_terms = [data_term(x[r], cfg.beta) for r, _ in _slabs(x.shape, _SLAB_ENTRIES)]
+    plan = _Plan(x, cfg.beta, lo)
     # each loss pass also makes the next mode-1 update's numerator and denominator
-    *terms, loss = _mode1_terms(x, f, cfg.beta, x_terms)
+    *terms, loss = _mode1_terms(plan, f, cfg.beta, losses=True)
     trace = LossTrace([loss])
     if not math.isfinite(loss):
         raise NumericalDomainError("non-finite loss at the starting point")
@@ -302,10 +330,10 @@ def solve(x, cfg, init=None, clamp_data=None):
     last_eval = loss
     for it in range(1, cfg.max_iters + 1):
         t0 = time.perf_counter()
-        f = iterate(x, f, cfg, terms)
+        f = iterate(x, f, cfg, terms, plan=plan)
         terms = None
         if it % cfg.loss_eval_period == 0 or it == cfg.max_iters:
-            *terms, loss = _mode1_terms(x, f, cfg.beta, x_terms)
+            *terms, loss = _mode1_terms(plan, f, cfg.beta, losses=True)
             if not math.isfinite(loss):
                 raise NumericalDomainError(f"non-finite loss at iteration {it}")
             trace.losses.append(loss)

@@ -479,3 +479,40 @@ class TestSlabs:
         f, trace = solve(x, replace(cfg, max_iters=4, rel_tol=0.0), init=init)
         expected = objective(np.maximum(x, cfg.epsilon) if beta <= 1 else x, f.approximation(), beta)
         assert trace.losses[-1] == pytest.approx(expected, rel=1e-12, abs=0)
+
+    @staticmethod
+    def _separate_updates(x, g, cfg):
+        """cfg.max_iters outer loops of public update calls, none of them
+        given a plan or the loss pass's terms."""
+        for _ in range(cfg.max_iters):
+            g = FactorSet(update_mode_factor(x, g, 1, cfg), g.h, g.q, g.core)
+            g = FactorSet(g.w, update_mode_factor(x, g, 2, cfg), g.q, g.core)
+            g = FactorSet(g.w, g.h, update_mode_factor(x, g, 3, cfg), g.core)
+            g = FactorSet(g.w, g.h, g.q, update_core(x, g, cfg))
+        return g
+
+    @pytest.mark.parametrize("period", [1, 3])
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_solve_bit_identical_to_separate_updates(self, beta, period):
+        # what solve hands from one pass to the next (mode 1's products, the
+        # beta=1 quotient, the beta=2 X Q) must not change one bit
+        x, init, cfg = _instance((7, 3, 4), (3, 2, 2), beta, seed=31)
+        cfg = replace(cfg, max_iters=7, rel_tol=0.0, loss_eval_period=period)
+        f, _ = solve(x, cfg, init=init)
+        g = self._separate_updates(x, init, cfg)
+        for ours, public in zip((f.w, f.h, f.q, f.core), (g.w, g.h, g.q, g.core)):
+            np.testing.assert_array_equal(ours, public)
+
+    def test_unclamped_beta_one_with_zeros_and_a_subnormal(self):
+        # data below the smallest normal float: the loss takes its own ratio
+        x, init, cfg = _instance((7, 3, 4), (3, 2, 2), 1.0, seed=32)
+        x[0, 1, 2] = x[3, 0, 0] = x[6, 2, 3] = 0.0
+        x[4, 2, 1] = 5e-320
+        cfg = replace(cfg, max_iters=5, rel_tol=0.0)
+        f, trace = solve(x, cfg, init=init, clamp_data=False)
+        assert trace.losses[-1] == pytest.approx(
+            objective(x, f.approximation(), 1.0), rel=1e-12, abs=0
+        )
+        g = self._separate_updates(x, init, cfg)
+        for ours, public in zip((f.w, f.h, f.q, f.core), (g.w, g.h, g.q, g.core)):
+            np.testing.assert_array_equal(ours, public)
