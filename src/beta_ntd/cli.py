@@ -4,9 +4,9 @@ TFB -> decomposition -> segmentation pipeline, evaluate boundary files,
 or benchmark iteration timings.
 
 `main` makes the output directory, runs the command there and writes a
-manifest.json recording the full configuration, so a run is reproducible
-from its manifest alone. Each `cmd_*` returns the manifest's inputs, its
-solver config (or None) and its further fields.
+manifest.json recording every parsed argument but the output directory
+and the solver config, so a run is reproducible from its manifest alone.
+Each `cmd_*` returns its solver config (or None) and its results.
 Exit codes: 0 success, 2 argument error, 3 parse error, 4 numerical
 domain error.
 """
@@ -57,18 +57,17 @@ def _parse_triple(text, flag):
         raise ValueError(f"{flag}: non-integer in {text!r}") from None
 
 
-def _solver_config(args):
-    return SolverConfig(
-        beta=args.beta,
-        epsilon=args.epsilon,
-        core_dims=_parse_triple(args.core_dims, "--core-dims"),
-        max_iters=args.max_iters,
-        rel_tol=args.rel_tol,
-        seed=args.seed,
-    )
+SOLVER_FLAGS = ("beta", "core_dims", "epsilon", "max_iters", "rel_tol", "seed")
 
 
-def _add_solver_flags(p, names=("beta", "core_dims", "epsilon", "max_iters", "rel_tol", "seed")):
+def _solver_config(args, **fixed):
+    """The SolverConfig of the solver flags `args` holds, with the `fixed` fields."""
+    given = {name: getattr(args, name) for name in SOLVER_FLAGS if name in vars(args)}
+    given["core_dims"] = _parse_triple(given["core_dims"], "--core-dims")
+    return SolverConfig(**given, **fixed)
+
+
+def _add_solver_flags(p, names=SOLVER_FLAGS):
     """One flag per named SolverConfig field, defaulting to the field's default."""
     for name in names:
         default = getattr(SolverConfig(), name)
@@ -96,22 +95,29 @@ def _environment():
     }
 
 
-def _stop_reason(trace):
-    if trace.converged_at is None:
-        return "budget"
-    return "loss-increase" if trace.losses[-1] > trace.losses[-2] else "tolerance"
+def _solve_record(trace):
+    """How a solve ended: its last loss, iteration count and stopping rule."""
+    stopped = trace.converged_at
+    return {
+        "final_loss": trace.losses[-1],
+        "iterations": len(trace.iter_times),
+        "converged_at": stopped,
+        "stop_reason": "budget" if stopped is None
+        else "loss-increase" if trace.losses[-1] > trace.losses[-2] else "tolerance",
+    }
 
 
-def _write_manifest(out_dir, command, inputs, cfg, extra, elapsed):
+def _write_manifest(out_dir, args, cfg, results, elapsed):
     manifest = {
-        "command": command,
-        "inputs": inputs,
+        "command": args.command,
+        # out is left out: runs that differ only in where they write match
+        "args": {k: v for k, v in vars(args).items() if k not in ("out", "func", "command")},
         "config": asdict(cfg) if cfg is not None else None,
         "wall_seconds": elapsed,
         "version": _version(),
         "environment": _environment(),
+        **results,
     }
-    manifest.update(extra)
     with open(out_dir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
@@ -155,17 +161,7 @@ def cmd_decompose(args, out_dir):
     clamp = {"auto": None, "yes": True, "no": False}[args.clamp_data]
     factors, trace = solve(x, cfg, init=init, clamp_data=clamp)
     _write_solution(out_dir, factors, trace)
-    return (
-        {"tensor": str(args.tensor), "init": str(args.init) if args.init else None},
-        cfg,
-        {
-            "clamp_data": args.clamp_data,
-            "final_loss": trace.losses[-1],
-            "iterations": len(trace.iter_times),
-            "converged_at": trace.converged_at,
-            "stop_reason": _stop_reason(trace),
-        },
-    )
+    return cfg, _solve_record(trace)
 
 
 def cmd_pipeline(args, out_dir):
@@ -192,19 +188,7 @@ def cmd_pipeline(args, out_dir):
     )
     boundaries = seg.bars_to_seconds(cuts, bars)
     seg.write_boundaries(out_dir / "boundaries.txt", boundaries)
-    return (
-        {"spectrogram": str(args.spectrogram), "bars": str(args.bars)},
-        cfg,
-        {
-            "feature": args.feature,
-            "frames_per_bar": args.frames_per_bar,
-            "kernel_half_width": args.kernel_half_width,
-            "peak_threshold": args.peak_threshold,
-            "final_loss": trace.losses[-1],
-            "stop_reason": _stop_reason(trace),
-            "boundary_count": int(boundaries.times.size),
-        },
-    )
+    return cfg, {**_solve_record(trace), "boundary_count": int(boundaries.times.size)}
 
 
 def cmd_eval(args, out_dir):
@@ -222,15 +206,7 @@ def cmd_eval(args, out_dir):
                              f"{reports[i].tolerance!r} both name {name}")
     for name, report in zip(names, reports):
         seg.write_report(out_dir / f"{name}.txt", out_dir / f"{name}.json", report)
-    return (
-        {"est": str(args.est), "ref": str(args.ref)},
-        None,
-        {
-            "tolerances": [r.tolerance for r in reports],
-            "include_endpoints": args.include_endpoints,
-            "reports": {f"{r.tolerance:g}": r.as_dict() for r in reports},
-        },
-    )
+    return None, {"reports": {f"{r.tolerance:g}": r.as_dict() for r in reports}}
 
 
 def cmd_bench(args, out_dir):
@@ -240,8 +216,7 @@ def cmd_bench(args, out_dir):
     betas = [float(b) for b in args.betas.split(",")]
     rng = np.random.default_rng(args.seed)
     x = rng.uniform(0.1, 1.0, dims)
-    base = SolverConfig(epsilon=args.epsilon, core_dims=_parse_triple(args.core_dims, "--core-dims"),
-                        max_iters=args.iters, rel_tol=0.0, seed=args.seed)
+    base = _solver_config(args, max_iters=args.iters, rel_tol=0.0)
     cfgs = [replace(base, beta=beta) for beta in betas]
     # one-iteration solves, so the warm-up overruns its time by one short solve
     warmup_iters, deadline = 0, time.perf_counter() + BENCH_WARMUP_SECONDS
@@ -258,19 +233,9 @@ def cmd_bench(args, out_dir):
         })
     keys = list(rows[0])
     write_rows(out_dir / "bench.txt", " ".join(keys), np.array([[r[k] for k in keys] for r in rows]))
-    return (
-        {"dims": list(dims)},
-        cfgs[0],
-        {
-            "betas": betas,
-            "iters": args.iters,
-            "warmup_iters": warmup_iters,
-            "results": rows,
-            # at rel_tol 0 a solve stops early only on a rise in the loss
-            "stop_reason": "budget" if all(r["iterations"] == args.iters for r in rows)
-            else "loss-increase",
-        },
-    )
+    # at rel_tol 0 a solve stops early only on a rise in the loss
+    stop = "budget" if all(r["iterations"] == args.iters for r in rows) else "loss-increase"
+    return cfgs[0], {"warmup_iters": warmup_iters, "results": rows, "stop_reason": stop}
 
 
 def build_parser():
@@ -328,8 +293,8 @@ def main(argv=None):
         t0 = time.perf_counter()
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        inputs, cfg, extra = args.func(args, out_dir)
-        _write_manifest(out_dir, args.command, inputs, cfg, extra, time.perf_counter() - t0)
+        cfg, results = args.func(args, out_dir)
+        _write_manifest(out_dir, args, cfg, results, time.perf_counter() - t0)
         return EXIT_OK
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

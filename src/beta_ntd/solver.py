@@ -115,6 +115,21 @@ def init_factors(data_dims, cfg):
     )
 
 
+def _checked_copy(f, data_dims, core_dims):
+    """A copy of the starting point `f`; a ValueError names its first factor
+    whose shape does not match the data and `core_dims`, or whose entries
+    are not finite and >= 0."""
+    (j, k, l), (jc, kc, lc) = data_dims, core_dims
+    for name, shape in (("w", (j, jc)), ("h", (k, kc)), ("q", (l, lc)), ("core", (jc, kc, lc))):
+        part = getattr(f, name)
+        if part.shape != shape:
+            raise ValueError(f"init.{name}: shape {part.shape} does not match {shape} "
+                             "from the data and cfg.core_dims")
+        if not (part.min() >= 0 and part.max() < math.inf):  # False for NaN
+            raise ValueError(f"init.{name}: entries must be finite and >= 0")
+    return f.copy()
+
+
 def _mode3_basis(f):
     """(J*K) x L' basis whose row j*K + k is sum_ab W[j,a] H[k,b] G[a,b,:],
     so that ``X.reshape(J*K, L)`` is modelled by ``basis @ Q.T``."""
@@ -294,7 +309,8 @@ def solve(x, cfg, init=None, clamp_data=None):
         Nonnegative, finite, non-empty data tensor.
     cfg : SolverConfig
     init : FactorSet, optional
-        Starting point; a fresh seeded draw when omitted.
+        Starting point, shaped by the data and cfg.core_dims, with finite
+        nonnegative entries; a fresh seeded draw when omitted.
     clamp_data : bool, optional
         Clamp the data to cfg.epsilon before solving. Defaults to True
         when beta <= 1 (where zero data entries make the divergence
@@ -319,7 +335,7 @@ def solve(x, cfg, init=None, clamp_data=None):
     if not (math.isfinite(lo) and math.isfinite(hi)) or (lo == 0 and cfg.beta <= 0):
         check_domain(x, None, cfg.beta)  # raises, naming the first bad index
 
-    f = init.copy() if init is not None else init_factors(x.shape, cfg)
+    f = init_factors(x.shape, cfg) if init is None else _checked_copy(init, x.shape, cfg.core_dims)
     plan = _Plan(x, cfg.beta, lo)
     # each loss pass also makes the next mode-1 update's numerator and denominator
     *terms, loss = _mode1_terms(plan, f, cfg.beta, losses=True)

@@ -5,7 +5,8 @@ Array files (tensors, matrices, spectrograms) are one header line of
 literal words, positive integer dimensions and optional further fields,
 then the entries in C order, whitespace-separated, one row per line;
 every row holds the same count of values and blank lines are skipped.
-Time files (bar grids, boundary sets) hold one time in seconds per line.
+Time files (bar grids, boundary sets) hold one finite time in seconds
+per line.
 Values are written with 17 significant digits, so every float64 reads
 back exactly.
 """
@@ -70,18 +71,21 @@ def write_rows(path, header, rows):
 
 
 def increasing_times(times, too_few, not_increasing):
-    """`times` as a 1-D float64 array of two or more increasing entries."""
+    """`times` as a 1-D float64 array of two or more finite, increasing entries."""
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1 or times.size < 2:
         raise ValueError(too_few)
+    bad = np.flatnonzero(~np.isfinite(times))
+    if bad.size:
+        raise ValueError(f"times must be finite, got {times[bad[0]]} at index {bad[0]}")
     if np.any(np.diff(times) <= 0):
         raise ValueError(not_increasing)
     return times
 
 
 def read_times(path):
-    """Read one time in seconds per line, strictly increasing, at least
-    two; blank lines are skipped."""
+    """Read one finite time in seconds per line, strictly increasing, at
+    least two; blank lines are skipped."""
     times = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -92,6 +96,8 @@ def read_times(path):
                 t = float(line)
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: not a number: {line!r}") from None
+            if not math.isfinite(t):
+                raise ParseError(f"{path}:{lineno}: non-finite time {line!r}")
             if times and t <= times[-1]:
                 raise ParseError(
                     f"{path}:{lineno}: boundary {t} not strictly increasing"

@@ -15,6 +15,7 @@ from beta_ntd.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_PARSE,
+    build_parser,
     main,
 )
 from beta_ntd.solver import SolverConfig, init_factors, solve
@@ -339,6 +340,31 @@ class TestPipeline:
         assert message in capsys.readouterr().err
         assert not (out / "tfb.txt").exists()
 
+    def test_records_how_the_solve_ended(self, tmp_path):
+        spec_path, bars_path = synthetic_song(tmp_path)
+        out = tmp_path / "out"
+        rc = main(["pipeline", str(spec_path), str(bars_path), "--core-dims", "2,2,2",
+                   "--max-iters", "4", "--rel-tol", "0", "--out", str(out)])
+        assert rc == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        last = (out / "loss_trace.txt").read_text().splitlines()[-1]
+        assert manifest["iterations"] == 4
+        assert manifest["converged_at"] is None
+        assert manifest["stop_reason"] == "budget"
+        assert manifest["final_loss"] == float(last.split()[1])
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_bar_exit_code(self, tmp_path, capsys, bad):
+        spec_path, bars_path = synthetic_song(tmp_path)
+        lines = bars_path.read_text().splitlines()
+        lines[2] = bad
+        bars_path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        rc = main(["pipeline", str(spec_path), str(bars_path), "--out", str(out)])
+        assert rc == EXIT_PARSE
+        assert f"{bars_path}:3: non-finite time" in capsys.readouterr().err
+        assert not (out / "boundaries.txt").exists()
+
     def test_bar_span_mismatch(self, tmp_path):
         spec_path = tmp_path / "spec.txt"
         bars_path = tmp_path / "bars.txt"
@@ -415,6 +441,16 @@ class TestEval:
         assert message in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_time_exit_code(self, tmp_path, capsys, bad):
+        est = tmp_path / "est.txt"
+        self.write_bounds(est, [0.0, 10.0, bad])
+        out = tmp_path / "out"
+        rc = main(["eval", str(est), str(est), "--out", str(out)])
+        assert rc == EXIT_PARSE
+        assert f"{est}:3: non-finite time" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_unsorted_file_exit_code(self, tmp_path):
         est = tmp_path / "est.txt"
         est.write_text("0.0\n5.0\n2.0\n")
@@ -466,6 +502,57 @@ class TestBench:
         assert rc == EXIT_ARGUMENT
         assert "--iters must be >= 1, got 0" in capsys.readouterr().err
         assert not (out / "bench.txt").exists()
+
+
+def short_run(command, tmp_path):
+    """The arguments of a short run of `command` on inputs made in
+    `tmp_path`, without --out."""
+    if command == "decompose":
+        path = tmp_path / "x.txt"
+        write_tensor(path, np.random.default_rng(0).uniform(0.1, 1.0, (5, 4, 3)))
+        return ["decompose", str(path), "--core-dims", "2,2,2", "--max-iters", "3",
+                "--clamp-data", "yes"]
+    if command == "pipeline":
+        spec_path, bars_path = synthetic_song(tmp_path)
+        return ["pipeline", str(spec_path), str(bars_path), "--feature", "mel",
+                "--core-dims", "2,3,2", "--max-iters", "3", "--kernel-half-width", "2"]
+    if command == "eval":
+        est = tmp_path / "est.txt"
+        est.write_text("0.0\n10.0\n20.0\n")
+        return ["eval", str(est), str(est), "--tolerances", "1,2", "--include-endpoints"]
+    return ["bench", "--dims", "4,4,4", "--core-dims", "2,2,2", "--betas", "0,2",
+            "--iters", "2"]
+
+
+class TestManifest:
+    @pytest.fixture(autouse=True)
+    def short_warmup(self, monkeypatch):
+        monkeypatch.setattr(beta_ntd.cli, "BENCH_WARMUP_SECONDS", 0.01)
+
+    @pytest.mark.parametrize("command", ["decompose", "pipeline", "eval", "bench"])
+    def test_args_are_the_parsed_arguments(self, tmp_path, command):
+        out = tmp_path / "out"
+        argv = short_run(command, tmp_path) + ["--out", str(out)]
+        assert main(argv) == EXIT_OK
+        text = (out / "manifest.json").read_text()
+        manifest = json.loads(text)
+        parsed = vars(build_parser().parse_args(argv))
+        assert manifest["command"] == command
+        assert manifest["args"] == {
+            k: v for k, v in parsed.items() if k not in ("out", "func", "command")
+        }
+        assert str(out) not in text
+
+    @pytest.mark.parametrize("command", ["decompose", "pipeline", "eval"])
+    def test_equal_apart_from_wall_time_wherever_written(self, tmp_path, command):
+        argv = short_run(command, tmp_path)
+        manifests = []
+        for out in (tmp_path / "a", tmp_path / "b" / "c"):
+            assert main(argv + ["--out", str(out)]) == EXIT_OK
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest.pop("wall_seconds") > 0
+            manifests.append(manifest)
+        assert manifests[0] == manifests[1]
 
 
 class TestModuleEntry:

@@ -201,6 +201,15 @@ class TestFiles:
         with pytest.raises(ParseError, match=":3:"):
             read_boundaries(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_names_line(self, tmp_path, bad):
+        path = tmp_path / "b.txt"
+        path.write_text(f"{bad}\n5.0\n")
+        with pytest.raises(ParseError, match=f"b.txt:1: non-finite time '{bad}'"):
+            read_boundaries(path)
+        with pytest.raises(ValueError, match="times must be finite"):
+            BoundarySet([0.0, float(bad)])
+
     def test_report_files(self, tmp_path):
         est = BoundarySet([0.0, 10.0, 20.0, 30.0])
         rep = evaluate_boundaries(est, est, 0.5)

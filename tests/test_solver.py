@@ -224,6 +224,23 @@ class TestSolve:
         np.testing.assert_array_equal(f1.w, f2.w)
         np.testing.assert_array_equal(f1.core, f2.core)
 
+    @pytest.mark.parametrize("name, shape, entry, message", [
+        ("core", (3, 3, 3), 1.0, r"shape \(3, 3, 3\) does not match \(2, 2, 2\)"),
+        ("w", (6, 2), 1.0, r"shape \(6, 2\) does not match \(5, 2\)"),
+        ("w", (5, 2), -0.5, "entries must be finite and >= 0"),
+        ("q", (3, 2), np.inf, "entries must be finite and >= 0"),
+        ("core", (2, 2, 2), np.nan, "entries must be finite and >= 0"),
+    ], ids=["core-shape", "w-rows", "negative-w", "inf-q", "nan-core"])
+    def test_rejects_bad_init_before_iterating(self, name, shape, entry, message, monkeypatch):
+        monkeypatch.setattr(beta_ntd.solver, "iterate", _no_iterate)
+        x = np.ones((5, 4, 3))
+        cfg = SolverConfig(beta=2.0, core_dims=(2, 2, 2))
+        part = np.ones(shape)
+        part.flat[1] = entry
+        init = replace(init_factors(x.shape, cfg), **{name: part})
+        with pytest.raises(ValueError, match=f"^init.{name}: {message}"):
+            solve(x, cfg, init=init)
+
     def test_rejects_negative_data(self):
         x = -np.ones((2, 2, 2))
         with pytest.raises(ValueError):

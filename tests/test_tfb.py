@@ -117,6 +117,13 @@ class TestFiles:
         write_bars(path, bars)
         np.testing.assert_array_equal(read_bars(path).boundaries, bars.boundaries)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_bars_non_finite_names_line(self, tmp_path, bad):
+        path = tmp_path / "b.txt"
+        path.write_text(f"0.0\n2.0\n{bad}\n4.0\n")
+        with pytest.raises(ParseError, match=f"b.txt:3: non-finite time '{bad}'"):
+            read_bars(path)
+
     def test_bars_unsorted_names_line(self, tmp_path):
         path = tmp_path / "b.txt"
         path.write_text("0.0\n2.0\n1.0\n")
@@ -131,6 +138,9 @@ def test_bargrid_validation():
         BarGrid([0.0, 0.0])
     with pytest.raises(ValueError):
         BarGrid([-1.0, 1.0])
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="times must be finite"):
+            BarGrid([0.0, bad, 2.0])
 
 
 @pytest.mark.parametrize("hop", [float("nan"), float("inf"), 0.0, -1.0])
