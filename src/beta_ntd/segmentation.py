@@ -80,11 +80,15 @@ def segment_bars(sim, kernel_half_width=4, peak_threshold=1.0):
     A +/- checkerboard kernel of side 2 * kernel_half_width slides along
     the diagonal (edge-replicated padding); boundaries are strict local
     maxima of the clipped novelty curve exceeding peak_threshold times
-    the curve mean. Indices 0 and L are always included.
+    the curve mean. Indices 0 and L are always included. A non-finite
+    entry is a ValueError naming the first one.
     """
     sim = np.asarray(sim, dtype=np.float64)
     if sim.ndim != 2 or sim.shape[0] != sim.shape[1]:
         raise ValueError(f"similarity matrix must be square, got {sim.shape}")
+    bad = np.argwhere(~np.isfinite(sim))
+    if bad.size:
+        raise ValueError(f"similarity matrix entry {tuple(bad[0].tolist())} is not finite")
     n = sim.shape[0]
     hw = check_kernel(n, kernel_half_width, peak_threshold)
     signs = np.concatenate([-np.ones(hw), np.ones(hw)])

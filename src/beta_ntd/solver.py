@@ -12,9 +12,9 @@ losses stream the view in slabs of whole mode-1 slices that stay in L2
 cache with their model and MU terms, contracted per slab to factor size:
 nothing of the data's size is made. `solve` plans the slabs once, with one
 model and one scratch buffer that every slab reuses. At beta=2 the
-denominators are in Gram form and only the loss builds a model. The loss
-pass also makes the next mode-1 update's products, and its x/m at beta=1;
-a beta=2 mode-1 pass hands its X Q to mode 2. `solve` checks the data's
+denominators are in Gram form and only the loss builds a model. Each mode-1
+pass, the loss pass included, leaves its products (and X Q at beta=2) in the
+plan, keyed by the factors they were made at. `solve` checks the data's
 domain once, from its minimum and maximum, and copies it only when
 clamping changes an entry; in the loop every entry is at least epsilon.
 """
@@ -60,15 +60,17 @@ class SolverConfig:
             raise ValueError(f"beta must be finite, got {self.beta}")
         if not 0 < self.epsilon < math.inf:
             raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
-        if len(self.core_dims) != 3 or any(int(d) < 1 for d in self.core_dims):
-            raise ValueError(f"core_dims must be three positive integers, got {self.core_dims}")
-        if self.max_iters < 0:
-            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
+        dims = self.core_dims  # counts are whole numbers: is_integer() is False for NaN and inf
+        if len(dims) != 3 or not all(float(d).is_integer() and int(d) >= 1 for d in dims):
+            raise ValueError(f"core_dims must be three positive integers, got {dims}")
+        if not (float(self.max_iters).is_integer() and self.max_iters >= 0):
+            raise ValueError(f"max_iters must be an integer >= 0, got {self.max_iters}")
         if not 0 <= self.rel_tol < math.inf:
             raise ValueError(f"rel_tol must be finite and >= 0, got {self.rel_tol}")
-        if self.loss_eval_period < 1:
-            raise ValueError(f"loss_eval_period must be >= 1, got {self.loss_eval_period}")
-        self.core_dims = tuple(int(d) for d in self.core_dims)
+        if not (float(self.loss_eval_period).is_integer() and self.loss_eval_period >= 1):
+            raise ValueError(f"loss_eval_period must be an integer >= 1, got {self.loss_eval_period}")
+        self.core_dims = tuple(int(d) for d in dims)
+        self.max_iters, self.loss_eval_period = int(self.max_iters), int(self.loss_eval_period)
 
 
 @dataclass
@@ -152,8 +154,8 @@ def _slabs(dims, entries):
 class _Plan:
     """Per slab of data `x`: its mode-1 range, rows of ``x.reshape(J*K, L)``,
     their view and (given `beta`) data term; model and scratch buffers of the
-    first (largest) slab's size; ``(Q, X Q)`` from the last mode-1 pass, for
-    mode 2 at beta=2; and whether x/m is the beta=1 loss's max(x, tiny)/m."""
+    first (largest) slab's size; whether x/m is the beta=1 loss's
+    max(x, tiny)/m; and the slot that :func:`_mode1_terms` fills, or None."""
 
     def __init__(self, x, beta=None, lo=0.0):
         self.x3 = x3 = x.reshape(-1, x.shape[2])
@@ -161,7 +163,7 @@ class _Plan:
                       for r, rows in _slabs(x.shape, _SLAB_ENTRIES)]
         self.model, self.scratch = np.empty((2,) + self.slabs[0][2].shape)
         self.shared_ratio = lo >= _TINY
-        self.xq = None, None
+        self.slot = None
 
 
 def _pass(plan, f, beta, share, combine=np.add, losses=False, v=None):
@@ -214,24 +216,26 @@ def _scale(u, num, den, cfg):
 
 
 def _mode1_terms(plan, f, beta, losses=False):
-    """The MU numerator and denominator products of the mode-1 update at
-    `f`, each slab giving its rows of them, and the loss at `f` if `losses`
-    (:func:`_pass`). At beta=2 the plan keeps ``X Q`` for mode 2."""
-    b = np.matmul(f.h, f.core).reshape(len(f.core), -1)  # H x_2 G as J' x (K*L')
+    """Fill the plan's slot with ``(f, B, num, den, X Q)``: B = H x_2 G, mode 1's
+    MU products at `f` (each slab gives its rows) and X Q at beta=2, else None.
+    Mode 1 reads it only at that `f`, mode 2 only at that Q. Return the loss if `losses`."""
+    plan.slot = None  # its X Q goes before the next one is made
+    b = np.matmul(f.h, f.core)  # J' x K x L'
+    bt = b.reshape(len(b), -1).T
     xq = np.empty((len(plan.x3), f.q.shape[1])) if beta == 2.0 else None
-    plan.xq = f.q, xq
 
     def share(t, r, rows):
         tq = t @ f.q if xq is None else np.matmul(t, f.q, out=xq[rows])
-        return tq.reshape(-1, b.shape[1]) @ b.T
+        return tq.reshape(-1, len(bt)) @ bt
 
-    return _pass(plan, f, beta, share, lambda a, c: np.concatenate((a, c)), losses)
+    num, den, loss = _pass(plan, f, beta, share, lambda a, c: np.concatenate((a, c)), losses)
+    plan.slot = f, b, num, den, xq
+    return loss
 
 
-def update_mode_factor(x, f, mode, cfg, terms=None, plan=None):
-    """One multiplicative update of the factor for `mode`. `terms` is the
-    first two results of ``_mode1_terms(plan, f, cfg.beta)`` for mode 1,
-    where already made; `plan`, made if omitted, is the :class:`_Plan` of `x`."""
+def update_mode_factor(x, f, mode, cfg, plan=None):
+    """One multiplicative update of the factor for `mode`. `plan`, made if
+    omitted, is the :class:`_Plan` of `x`, whose slot serves where valid."""
     j, k, _ = x.shape
     jc, kc, lc = f.core.shape
     plan = _Plan(x) if plan is None else plan
@@ -243,15 +247,15 @@ def update_mode_factor(x, f, mode, cfg, terms=None, plan=None):
         return _scale(f.q, num, v.sum(axis=0) if den is None else den, cfg)
     # x ~ U V with V[a,n,l] = sum_c B[a,n,c] Q[l,c]: contract T with Q, then B
     if mode == 1:  # B = H x_2 G, J' x K x L'
-        u, b = f.w, np.matmul(f.h, f.core)
-        num, den = _mode1_terms(plan, f, cfg.beta)[:2] if terms is None else terms
+        if plan.slot is None or plan.slot[0] is not f:
+            _mode1_terms(plan, f, cfg.beta)
+        u, (_, b, num, den, _) = f.w, plan.slot
     elif mode == 2:
         # B = W x_1 G, K' x J x L'; one GEMM per slab and product, where J
         # per-slice matmuls would each wait on the BLAS threads
         u, b = f.h, (f.w @ f.core.reshape(jc, -1)).reshape(j, kc, lc).transpose(1, 0, 2)
         rows = b.reshape(kc, -1)  # a copy at factor-times-core size
-        (q, xq), plan.xq = plan.xq, (None, None)  # handed over once, valid for one Q
-        xq = xq if q is f.q else None
+        xq = plan.slot[4] if plan.slot is not None and plan.slot[0].q is f.q else None
 
         def share(t, r, slab_rows):  # slab rows x L -> K x K', copying at slab-times-L'/L size
             tq = t @ f.q if xq is None else xq[slab_rows]
@@ -288,10 +292,11 @@ def update_core(x, f, cfg, plan=None):
     return _scale(f.core, num, den, cfg)
 
 
-def iterate(x, f, cfg, terms=None, plan=None):
-    """One full outer loop: update W, H, Q in order, then the core. `terms`
-    and `plan` are as for :func:`update_mode_factor`."""
-    f = FactorSet(update_mode_factor(x, f, 1, cfg, terms=terms, plan=plan), f.h, f.q, f.core)
+def iterate(x, f, cfg, plan=None):
+    """One full outer loop: update W, H, Q in order, then the core, all with
+    one `plan` (:func:`update_mode_factor`), made if omitted."""
+    plan = _Plan(x) if plan is None else plan
+    f = FactorSet(update_mode_factor(x, f, 1, cfg, plan=plan), f.h, f.q, f.core)
     f = FactorSet(f.w, update_mode_factor(x, f, 2, cfg, plan=plan), f.q, f.core)
     f = FactorSet(f.w, f.h, update_mode_factor(x, f, 3, cfg, plan=plan), f.core)
     return FactorSet(f.w, f.h, f.q, update_core(x, f, cfg, plan=plan))
@@ -337,8 +342,7 @@ def solve(x, cfg, init=None, clamp_data=None):
 
     f = init_factors(x.shape, cfg) if init is None else _checked_copy(init, x.shape, cfg.core_dims)
     plan = _Plan(x, cfg.beta, lo)
-    # each loss pass also makes the next mode-1 update's numerator and denominator
-    *terms, loss = _mode1_terms(plan, f, cfg.beta, losses=True)
+    loss = _mode1_terms(plan, f, cfg.beta, losses=True)  # also the next mode 1's products
     trace = LossTrace([loss])
     if not math.isfinite(loss):
         raise NumericalDomainError("non-finite loss at the starting point")
@@ -346,16 +350,14 @@ def solve(x, cfg, init=None, clamp_data=None):
     last_eval = loss
     for it in range(1, cfg.max_iters + 1):
         t0 = time.perf_counter()
-        f = iterate(x, f, cfg, terms, plan=plan)
-        terms = None
-        if it % cfg.loss_eval_period == 0 or it == cfg.max_iters:
-            *terms, loss = _mode1_terms(plan, f, cfg.beta, losses=True)
+        f = iterate(x, f, cfg, plan)
+        if evaluated := (it % cfg.loss_eval_period == 0 or it == cfg.max_iters):
+            loss = _mode1_terms(plan, f, cfg.beta, losses=True)
             if not math.isfinite(loss):
                 raise NumericalDomainError(f"non-finite loss at iteration {it}")
             trace.losses.append(loss)
         trace.iter_times.append(time.perf_counter() - t0)  # its loss pass included
-        # between evaluations loss is last_eval, which must not read as converged
-        if terms is not None and (last_eval - loss) / max(last_eval, _TINY) < cfg.rel_tol:
+        if evaluated and (last_eval - loss) / max(last_eval, _TINY) < cfg.rel_tol:
             trace.converged_at = it
             break
         last_eval = loss

@@ -18,16 +18,10 @@ from . import textio
 from .errors import ParseError
 
 
-def _has_negative(a):
-    """Whether `a` holds an entry below 0: one min() pass, scanning again
-    only when a NaN minimum may hide a negative."""
-    return a.size > 0 and not a.min() >= 0 and bool(np.any(a < 0))
-
-
 @dataclass
 class Spectrogram:
-    """Nonnegative bands x frames matrix with a uniform hop in seconds;
-    frame f sits at time f * hop_seconds."""
+    """Finite, nonnegative bands x frames matrix with a uniform hop in
+    seconds; frame f sits at time f * hop_seconds."""
 
     data: np.ndarray
     hop_seconds: float
@@ -36,8 +30,8 @@ class Spectrogram:
         self.data = np.asarray(self.data, dtype=np.float64)
         if self.data.ndim != 2:
             raise ValueError(f"spectrogram data must be 2D, got ndim={self.data.ndim}")
-        if _has_negative(self.data):
-            raise ValueError("spectrogram data must be nonnegative")
+        if self.data.size and not 0 <= self.data.min() <= self.data.max() < np.inf:  # NaN fails
+            raise ValueError("spectrogram data must be finite and nonnegative")
         if not (np.isfinite(self.hop_seconds) and self.hop_seconds > 0):
             raise ValueError(f"hop_seconds must be finite and positive, got {self.hop_seconds}")
 
@@ -71,8 +65,6 @@ class BarGrid:
 
 def nnlms(spec):
     """Entrywise log(x + 1); nonnegative and order-preserving."""
-    if _has_negative(spec.data):
-        raise ValueError("nnlms requires nonnegative input")
     return Spectrogram(np.log1p(spec.data), spec.hop_seconds)
 
 

@@ -81,6 +81,15 @@ class TestSegmentBars:
         with pytest.raises(ValueError):
             segment_bars(np.ones((4, 5)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_names_first_entry(self, bad):
+        sim = self.block_sim([4, 4])
+        sim[5, 2] = sim[6, 1] = bad
+        with pytest.raises(ValueError, match=r"entry \(5, 2\) is not finite"):
+            segment_bars(sim, kernel_half_width=2)
+        with pytest.raises(ValueError, match=r"entry \(0, 0\) is not finite"):
+            segment_bars(np.full((8, 8), np.nan), kernel_half_width=2)
+
 
 class TestBarsToSeconds:
     def test_index_zero(self):

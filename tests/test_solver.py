@@ -385,6 +385,15 @@ def test_config_validation():
         SolverConfig(rel_tol=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(loss_eval_period=0)
+    # counts must be whole numbers, not silently truncated or failing later
+    for field, value in [("core_dims", (2.5, 2, 2)), ("core_dims", (2, float("nan"), 2)),
+                         ("max_iters", 2.5), ("max_iters", float("inf")),
+                         ("loss_eval_period", 1.5), ("loss_eval_period", float("nan"))]:
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            SolverConfig(**{field: value})
+    cfg = SolverConfig(core_dims=(2.0, np.int64(3), 4), max_iters=5.0, loss_eval_period=np.int64(2))
+    assert (cfg.core_dims, cfg.max_iters, cfg.loss_eval_period) == ((2, 3, 4), 5, 2)
+    assert all(type(n) is int for n in (*cfg.core_dims, cfg.max_iters, cfg.loss_eval_period))
 
 
 BETAS = [0.0, 0.5, 1.0, 1.5, 2.0, 3.0]
@@ -519,6 +528,31 @@ class TestSlabs:
         g = self._separate_updates(x, init, cfg)
         for ours, public in zip((f.w, f.h, f.q, f.core), (g.w, g.h, g.q, g.core)):
             np.testing.assert_array_equal(ours, public)
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_slot_serves_only_the_factors_it_was_made_at(self, beta, monkeypatch):
+        # a loss pass at f fills the plan's slot: mode 1 at f reads it, and an
+        # update at other factors, or mode 2 at another Q, equals a plan-less one
+        make = beta_ntd.solver._mode1_terms
+        x, f, cfg = _instance((7, 3, 4), (3, 2, 2), beta, seed=33)
+        g = init_factors(x.shape, replace(cfg, seed=34))
+        plan = beta_ntd.solver._Plan(x, beta)
+        made_at = []  # the factors of each mode-1 pass made with `plan`
+
+        def counted(p, at, *args, **kwargs):
+            if p is plan:
+                made_at.append(at)
+            return make(p, at, *args, **kwargs)
+
+        monkeypatch.setattr(beta_ntd.solver, "_mode1_terms", counted)
+        make(plan, f, beta, losses=True)
+        update_mode_factor(x, f, 1, cfg, plan)
+        assert made_at == []
+        for mode, h in ((1, g), (2, g), (2, FactorSet(g.w, f.h, g.q, f.core))):
+            make(plan, f, beta, losses=True)
+            ours = update_mode_factor(x, h, mode, cfg, plan)
+            np.testing.assert_array_equal(ours, update_mode_factor(x, h, mode, cfg))
+        assert made_at == [g]
 
     def test_unclamped_beta_one_with_zeros_and_a_subnormal(self):
         # data below the smallest normal float: the loss takes its own ratio

@@ -143,6 +143,17 @@ def test_bargrid_validation():
             BarGrid([0.0, bad, 2.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+def test_spectrogram_rejects_non_finite_or_negative_data(bad):
+    with pytest.raises(ValueError, match="data must be finite and nonnegative"):
+        Spectrogram([[0.5, 1.0], [bad, 2.0]], 0.1)
+    spec = Spectrogram([[0.5, 1.0], [0.0, 2.0]], 0.1)
+    spec.data[1, 0] = bad  # nnlms' output checks the log again
+    with pytest.raises(ValueError, match="data must be finite and nonnegative"):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            nnlms(spec)
+
+
 @pytest.mark.parametrize("hop", [float("nan"), float("inf"), 0.0, -1.0])
 def test_spectrogram_rejects_bad_hop(hop):
     with pytest.raises(ValueError, match="hop_seconds"):
