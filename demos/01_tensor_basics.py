@@ -1,36 +1,29 @@
-"""Tour of the third-order tensor operations: unfolding, mode products,
-and the contraction that stands in for Kronecker-product arithmetic."""
+"""The Tucker model that the solver fits, X ~ G x_1 W x_2 H x_3 Q, and the
+Kronecker matrix it stands in for.
+
+Flattened in C order, the model is kron(W, kron(H, Q)) @ G.reshape(-1): a
+(J*K*L) x (J'*K'*L') matrix times the core. The solver never builds that
+matrix; it contracts the core with one factor at a time."""
 
 import numpy as np
 
-from beta_ntd import contracted_unfolding, fold, matricize, mode_product, multiway_product
+from beta_ntd import SolverConfig, init_factors
 
-rng = np.random.default_rng(0)
+cfg = SolverConfig(core_dims=(2, 3, 2), seed=0)
+f = init_factors((4, 5, 6), cfg)
+print("W", f.w.shape, "H", f.h.shape, "Q", f.q.shape, "core", f.core.shape)
 
-# A small tensor and its three unfoldings. Rows of the mode-n unfolding
-# index mode n; columns run over the other two modes, lower mode fastest.
-t = np.arange(24.0).reshape(2, 3, 4)
-for mode in (1, 2, 3):
-    m = matricize(t, mode)
-    print(f"mode-{mode} unfolding has shape {m.shape}")
-    assert np.array_equal(fold(m, mode, t.shape), t)
-print("fold(matricize(t)) round-trips exactly\n")
+model = f.approximation()
+print("model (J x K x L):", model.shape)
 
-# Mode products contract one mode with a matrix.
-w = rng.random((5, 2))
-print("t x_1 W shape:", mode_product(t, w, 1).shape)
+big = np.kron(f.w, np.kron(f.h, f.q))  # what the solver never builds
+via_kron = (big @ f.core.reshape(-1)).reshape(model.shape)
+deviation = np.max(np.abs(model - via_kron))
+print(f"Kronecker matrix {big.shape[0]} x {big.shape[1]}, "
+      f"max deviation from the model: {deviation:.1e}")
+assert deviation <= 1e-12 * np.max(model)
 
-# The full Tucker-style product applies one matrix per mode.
-g = rng.random((2, 2, 2))
-w, h, q = rng.random((4, 2)), rng.random((5, 2)), rng.random((6, 2))
-x = multiway_product(g, w, h, q)
-print("core (2,2,2) expanded to data", x.shape)
-
-# The solver needs the unfolded product (g x_2 h x_3 q)_(1). Done through
-# an explicit Kronecker product, that would require a factor of size
-# (rows_h * rows_q) x (cols_h * cols_q); the contraction route never
-# builds it.
-v = contracted_unfolding(g, h, q, 1)
-v_kron = matricize(g, 1) @ np.kron(q, h).T  # what we avoid
-print("contracted unfolding:", v.shape,
-      "| max deviation from Kronecker route:", np.max(np.abs(v - v_kron)))
+# At the benchmark's song size the same matrix would not fit in memory.
+rows, cols = 80 * 96 * 100, 32 * 12 * 4
+print(f"at 80x96x100 data with a 32x12x4 core it would be {rows} x {cols}, "
+      f"{rows * cols * 8 / 1e9:.1f} GB")

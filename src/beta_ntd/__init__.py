@@ -13,17 +13,7 @@ from .segmentation import (
     segment_bars,
 )
 from .solver import FactorSet, LossTrace, SolverConfig, init_factors, iterate, solve
-from .tensor_ops import (
-    clamp_min,
-    contracted_unfolding,
-    ew_power,
-    fold,
-    matricize,
-    mode_product,
-    multiway_product,
-    read_tensor,
-    write_tensor,
-)
+from .tensor_ops import clamp_min, read_tensor, write_tensor
 from .tfb import (
     BarGrid,
     Spectrogram,
@@ -46,16 +36,10 @@ __all__ = [
     "beta_div",
     "build_tfb",
     "clamp_min",
-    "contracted_unfolding",
     "evaluate_boundaries",
-    "ew_power",
-    "fold",
     "gamma_exponent",
     "init_factors",
     "iterate",
-    "matricize",
-    "mode_product",
-    "multiway_product",
     "nnlms",
     "objective",
     "read_tensor",

@@ -53,19 +53,15 @@ def bar_autosimilarity(q):
     norms = np.linalg.norm(q, axis=1)
     safe = np.where(norms > 0, norms, 1.0)
     qn = q / safe[:, None]
-    sim = qn @ qn.T
-    zero = norms == 0
-    sim[zero, :] = 0.0
-    sim[:, zero] = 0.0
-    return sim
+    return qn @ qn.T  # a zero row of q is one of qn: its similarities are 0
 
 
 def check_kernel(n, kernel_half_width, peak_threshold):
-    """The kernel half-width as an int, once it is known to fit n bars and
-    the peak threshold to be finite; otherwise a ValueError."""
+    """The kernel half-width as an int, once it is known to be a whole number
+    that fits n bars and the peak threshold to be finite; otherwise a ValueError."""
+    if not (float(kernel_half_width).is_integer() and kernel_half_width >= 1):  # False for NaN, inf
+        raise ValueError(f"kernel_half_width must be an integer >= 1, got {kernel_half_width}")
     hw = int(kernel_half_width)
-    if hw < 1:
-        raise ValueError(f"kernel_half_width must be >= 1, got {hw}")
     if 2 * hw > n:
         raise ValueError(f"kernel width {2 * hw} exceeds the {n} bars")
     if not math.isfinite(peak_threshold):
@@ -117,13 +113,15 @@ def segment_bars(sim, kernel_half_width=4, peak_threshold=1.0):
 
 
 def bars_to_seconds(indices, bars):
-    """Map boundary bar indices onto the bar grid's times."""
-    indices = np.asarray(indices, dtype=int)
+    """Map boundary bar indices, whole numbers, onto the bar grid's times."""
+    indices = np.asarray(indices, dtype=np.float64)
+    if not np.all(indices == np.round(indices)):  # False for NaN
+        raise ValueError(f"indices must be whole numbers, got {indices}")
     if indices.size and (indices.min() < 0 or indices.max() > bars.bar_count):
         raise ValueError(
             f"bar index out of range [0, {bars.bar_count}]: {indices}"
         )
-    return BoundarySet(bars.boundaries[indices])
+    return BoundarySet(bars.boundaries[indices.astype(int)])
 
 
 def evaluate_boundaries(est, ref, tolerance, exclude_endpoints=True):

@@ -87,8 +87,9 @@ class FactorSet:
         return FactorSet(self.w.copy(), self.h.copy(), self.q.copy(), self.core.copy())
 
     def approximation(self):
-        """The model as a J x K x L array."""
-        return (_mode3_basis(self) @ self.q.T).reshape(len(self.w), len(self.h), len(self.q))
+        """The model as a J x K x L array, by the same product as the loss pass's."""
+        m = np.matmul(_mode3_basis(self), np.ascontiguousarray(self.q.T))
+        return m.reshape(len(self.w), len(self.h), len(self.q))
 
 
 @dataclass

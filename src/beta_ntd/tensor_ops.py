@@ -1,6 +1,7 @@
 """
-Dense third-order tensor operations: matricization, folding, mode-n
-products, contracted unfoldings, and the tensor and matrix file formats.
+Dense third-order tensor operations: the clamp, the tensor and matrix
+file formats, and the unfolding algebra (matricization, mode-n products,
+contracted unfoldings, the elementwise power).
 
 Tensors are plain numpy arrays with ``ndim == 3`` and matrices are 2D
 arrays. Data is stored in C order, i.e. the mode-1 index varies slowest.
@@ -9,10 +10,9 @@ unfolding runs over the remaining modes with the lower-numbered mode
 varying fastest; that order is not the C layout's in any mode,
 so :func:`matricize` copies. The solver does not unfold: it works on
 C-order reshapes of the data with bases built in the same column order
-(see :mod:`beta_ntd.solver`).
-
-Kronecker products are never formed here; the contracted-unfolding route
-replaces them.
+(see :mod:`beta_ntd.solver`). No entry point calls the unfolding algebra
+and the package does not export it; it stays while ``perfbench/spans.py``
+rebinds it to count calls.
 """
 
 import numpy as np
@@ -65,45 +65,12 @@ def matricize(t, mode):
     return np.reshape(np.moveaxis(t, axis, 0), (t.shape[axis], -1), order="F")
 
 
-def fold(m, mode, dims):
-    """
-    Inverse of :func:`matricize`: refold a mode-`mode` unfolding into a
-    tensor of shape `dims`.
-
-    Parameters
-    ----------
-    m : ndarray
-        Mode-`mode` unfolding, shape ``(dims[mode-1], prod of other dims)``.
-    mode : int
-    dims : tuple of int
-        Target tensor shape (J, K, L).
-
-    Returns
-    -------
-    ndarray, shape `dims`
-    """
-    _check_mode(mode)
-    m = _as_matrix(m)
-    dims = tuple(int(d) for d in dims)
-    if len(dims) != 3 or any(d < 1 for d in dims):
-        raise ValueError(f"dims must be three positive integers, got {dims}")
-    axis = mode - 1
-    other = [d for i, d in enumerate(dims) if i != axis]
-    if m.shape != (dims[axis], other[0] * other[1]):
-        raise ValueError(
-            f"matrix shape {m.shape} does not match mode-{mode} unfolding "
-            f"of dims {dims}"
-        )
-    t = np.reshape(m, (dims[axis], other[0], other[1]), order="F")
-    return np.moveaxis(t, 0, axis)
-
-
 def mode_product(t, m, mode):
     """
     Mode-`mode` product of a tensor with a matrix.
 
-    Equivalent to refolding ``m @ matricize(t, mode)``; the output replaces
-    ``t.shape[mode-1]`` with ``m.shape[0]``.
+    Its mode-`mode` unfolding is ``m @ matricize(t, mode)``; the output
+    replaces ``t.shape[mode-1]`` with ``m.shape[0]``.
     """
     _check_mode(mode)
     t = _as_tensor3(t)

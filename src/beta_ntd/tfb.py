@@ -77,8 +77,9 @@ def build_tfb(spec, bars, frames_per_bar=96):
     takes the nearest spectrogram frame, ties broken toward the earlier
     frame so hop-aligned bars reproduce their frames exactly.
     """
-    if frames_per_bar < 1:
-        raise ValueError(f"frames_per_bar must be >= 1, got {frames_per_bar}")
+    if not (float(frames_per_bar).is_integer() and frames_per_bar >= 1):  # False for NaN, inf
+        raise ValueError(f"frames_per_bar must be an integer >= 1, got {frames_per_bar}")
+    frames_per_bar = int(frames_per_bar)
     hop = spec.hop_seconds
     span = spec.frames * hop
     tol = 1e-9 * max(span, 1.0)

@@ -52,10 +52,10 @@ def kron_multiway(g, w, h, q):
     return out.reshape(w.shape[0], h.shape[0], q.shape[0])
 
 
-def kron_contracted_unfolding(g, a, b, mode, matricize_fn):
-    """Contracted unfolding via the explicit Kronecker product paired with
-    the given matricization: unfolding times kron(higher, lower)^T."""
-    return matricize_fn(g, mode) @ np.kron(b, a).T
+def kron_contracted_unfolding(g, a, b, mode):
+    """Contracted unfolding via the explicit Kronecker product: the
+    index-loop unfolding times kron(higher, lower)^T."""
+    return loop_matricize(g, mode) @ np.kron(b, a).T
 
 
 def gamma_fn(beta):
@@ -66,16 +66,16 @@ def gamma_fn(beta):
     return 1.0 / (beta - 1.0)
 
 
-def kron_update_factor(x, f, mode, beta, eps, matricize_fn):
+def kron_update_factor(x, f, mode, beta, eps):
     """NMF-shaped multiplicative update of one mode factor with the basis
     matrix formed through an explicit Kronecker product."""
     factors = (f.w, f.h, f.q)
     others = [m for m in (1, 2, 3) if m != mode]
     a, b = factors[others[0] - 1], factors[others[1] - 1]
-    v = matricize_fn(f.core, mode) @ np.kron(b, a).T
+    v = kron_contracted_unfolding(f.core, a, b, mode)
     u = factors[mode - 1]
     uv = u @ v
-    m_x = matricize_fn(x, mode)
+    m_x = loop_matricize(x, mode)
     num = (uv ** (beta - 2.0) * m_x) @ v.T if beta != 2 else m_x @ v.T
     den = uv ** (beta - 1.0) @ v.T if beta != 1 else np.ones_like(m_x) @ v.T
     return np.maximum(u * (num / den) ** gamma_fn(beta), eps)

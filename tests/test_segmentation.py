@@ -76,6 +76,14 @@ class TestSegmentBars:
     def test_kernel_too_wide(self):
         with pytest.raises(ValueError):
             segment_bars(np.ones((4, 4)), kernel_half_width=3)
+        for hw in (2.5, np.inf, np.nan, 0):
+            with pytest.raises(ValueError, match=r"kernel_half_width must be an integer >= 1"):
+                segment_bars(np.ones((8, 8)), kernel_half_width=hw)
+
+    def test_whole_number_kernel_accepted(self):
+        sim = self.block_sim([4, 4])
+        for hw in (2.0, np.int64(2)):
+            np.testing.assert_array_equal(segment_bars(sim, kernel_half_width=hw), [0, 4, 8])
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
@@ -111,6 +119,15 @@ class TestBarsToSeconds:
         bars = BarGrid([0.0, 1.0])
         with pytest.raises(ValueError):
             bars_to_seconds([0, 2], bars)
+        for bad in (0.5, np.nan, np.inf):
+            with pytest.raises(ValueError, match="indices must be whole numbers|out of range"):
+                bars_to_seconds([0, bad], bars)
+
+    def test_whole_number_floats_accepted(self):
+        bars = BarGrid([0.0, 1.0, 2.5])
+        out = bars_to_seconds(np.array([0.0, 2.0]), bars)
+        np.testing.assert_array_equal(out.times, [0.0, 2.5])
+        np.testing.assert_array_equal(bars_to_seconds(np.int64([0, 1]), bars).times, [0.0, 1.0])
 
 
 class TestEvaluate:

@@ -4,15 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from beta_ntd.errors import NumericalDomainError, ParseError
 from beta_ntd.tensor_ops import (
     clamp_min,
     contracted_unfolding,
     ew_power,
-    fold,
     matricize,
     mode_product,
     multiway_product,
@@ -58,38 +55,6 @@ def test_matricize_invalid_mode():
         matricize(np.zeros((2, 2, 2)), 4)
 
 
-@pytest.mark.parametrize("mode", [1, 2, 3])
-def test_fold_matricize_roundtrip(mode):
-    rng = np.random.default_rng(11)
-    t = rng.random((4, 3, 6))
-    np.testing.assert_array_equal(fold(matricize(t, mode), mode, t.shape), t)
-
-
-def test_fold_single_row():
-    m = np.arange(8.0).reshape(1, 8)
-    t = fold(m, 1, (1, 2, 4))
-    np.testing.assert_array_equal(matricize(t, 1), m)
-
-
-def test_fold_shape_mismatch():
-    with pytest.raises(ValueError):
-        fold(np.zeros((2, 5)), 1, (2, 2, 2))
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    dims=st.tuples(
-        st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)
-    ),
-    mode=st.sampled_from([1, 2, 3]),
-    seed=st.integers(0, 2**31),
-)
-def test_roundtrip_randomized(dims, mode, seed):
-    t = np.random.default_rng(seed).random(dims)
-    back = fold(matricize(t, mode), mode, dims)
-    np.testing.assert_array_equal(back, t)
-
-
 def test_mode_product_identity():
     rng = np.random.default_rng(3)
     t = rng.random((3, 4, 5))
@@ -118,10 +83,9 @@ def test_mode_product_matches_matricized_form():
     t = rng.random((3, 4, 5))
     for mode in (1, 2, 3):
         m = rng.random((2, t.shape[mode - 1]))
-        dims = list(t.shape)
-        dims[mode - 1] = 2
-        via_matrix = fold(m @ matricize(t, mode), mode, dims)
-        np.testing.assert_array_equal(mode_product(t, m, mode), via_matrix)
+        np.testing.assert_array_equal(
+            matricize(mode_product(t, m, mode), mode), m @ matricize(t, mode)
+        )
 
 
 def test_mode_product_dim_mismatch():
@@ -175,7 +139,7 @@ def test_contracted_unfolding_matches_kron_oracle(mode):
     a = rng.random((sizes[0], 2))
     b = rng.random((sizes[1], 2))
     out = contracted_unfolding(g, a, b, mode)
-    oracle = kron_contracted_unfolding(g, a, b, mode, matricize)
+    oracle = kron_contracted_unfolding(g, a, b, mode)
     np.testing.assert_allclose(out, oracle, rtol=1e-12)
 
 

@@ -74,6 +74,15 @@ class TestBuildTfb:
         with pytest.raises(ValueError, match="bar 1"):
             build_tfb(spec, BarGrid([0.0, 0.5, 50.0]), 4)
 
+    def test_frames_per_bar_must_be_whole(self):
+        spec = Spectrogram(np.arange(20.0).reshape(2, 10), 0.1)
+        bars = BarGrid([0.0, 0.5, 1.0])
+        for bad in (2.5, np.nan, np.inf, 0):
+            with pytest.raises(ValueError, match="frames_per_bar must be an integer >= 1"):
+                build_tfb(spec, bars, bad)
+        for whole in (4.0, np.int64(4)):
+            np.testing.assert_array_equal(build_tfb(spec, bars, whole), build_tfb(spec, bars, 4))
+
     def test_dims_for_valid_inputs(self):
         rng = np.random.default_rng(6)
         spec = Spectrogram(rng.random((5, 200)), 0.02)
