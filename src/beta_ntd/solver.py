@@ -11,10 +11,12 @@ Products work on the C-order view ``X.reshape(J*K, L)`` of the data X
 losses stream the view in slabs of whole mode-1 slices that stay in L2
 cache with their model and MU terms, contracted per slab to factor size:
 nothing of the data's size is made. `solve` plans the slabs once, with one
-model and one scratch buffer that every slab reuses. At beta=2 the
-denominators are in Gram form and only the loss builds a model. Each mode-1
-pass, the loss pass included, leaves its products (and X Q at beta=2) in the
-plan, keyed by the factors they were made at. `solve` checks the data's
+model and one scratch buffer that every slab reuses; at beta other than 1
+and 2 each slab's two MU terms are contracted together, stacked. At beta=2
+the denominators are in Gram form and only the loss builds a model. The plan
+keeps each product that more than one pass reads, with the factors it was
+made from: mode 1's products, H x_2 G, the mode-3 basis, Q^T and, at beta=2,
+X Q. So each is made once per new factor. `solve` checks the data's
 domain once, from its minimum and maximum, and copies it only when
 clamping changes an entry; in the loop every entry is at least epsilon.
 """
@@ -133,12 +135,12 @@ def _checked_copy(f, data_dims, core_dims):
     return f.copy()
 
 
-def _mode3_basis(f):
+def _mode3_basis(f, hg=None):
     """(J*K) x L' basis whose row j*K + k is sum_ab W[j,a] H[k,b] G[a,b,:],
-    so that ``X.reshape(J*K, L)`` is modelled by ``basis @ Q.T``."""
-    jc, _, lc = f.core.shape
-    hg = np.matmul(f.h, f.core)  # (J', K, L')
-    return (f.w @ hg.reshape(jc, -1)).reshape(-1, lc)
+    so that ``X.reshape(J*K, L)`` is modelled by ``basis @ Q.T``; `hg` is
+    H x_2 G (J' x K x L'), made if omitted."""
+    hg = np.matmul(f.h, f.core) if hg is None else hg
+    return (f.w @ hg.reshape(len(hg), -1)).reshape(-1, hg.shape[2])
 
 
 _SLAB_ENTRIES = 38400  # data entries per slab, unless one mode-1 slice has more
@@ -154,55 +156,77 @@ def _slabs(dims, entries):
 
 class _Plan:
     """Per slab of data `x`: its mode-1 range, rows of ``x.reshape(J*K, L)``,
-    their view and (given `beta`) data term; model and scratch buffers of the
-    first (largest) slab's size; whether x/m is the beta=1 loss's
-    max(x, tiny)/m; and the slot that :func:`_mode1_terms` fills, or None."""
+    their view, (given `beta`) data term, and its model and scratch views,
+    apart and stacked, into one buffer pair of the first (largest) slab's
+    size. Also whether x/m is the beta=1 loss's max(x, tiny)/m, and what one
+    pass hands to the next, each with the factors it was made from: the slot
+    of :func:`_mode1_terms` (or None), :func:`_basis`'s and :func:`_pass`'s."""
 
     def __init__(self, x, beta=None, lo=0.0):
         self.x3 = x3 = x.reshape(-1, x.shape[2])
-        self.slabs = [(r, rows, x3[rows], None if beta is None else data_term(x[r], beta))
-                      for r, rows in _slabs(x.shape, _SLAB_ENTRIES)]
-        self.model, self.scratch = np.empty((2,) + self.slabs[0][2].shape)
+        cuts = [(r, rows, x3[rows]) for r, rows in _slabs(x.shape, _SLAB_ENTRIES)]
+        pair = np.empty((2,) + cuts[0][2].shape)
+        self.slabs = [(r, rows, xs, None if beta is None else data_term(x[r], beta),
+                       *pair[:, :len(xs)], pair[:, :len(xs)]) for r, rows, xs in cuts]
         self.shared_ratio = lo >= _TINY
-        self.slot = None
+        self.slot, self.bases, self.at_q = None, [None] * 5, [None] * 3
 
 
-def _pass(plan, f, beta, share, combine=np.add, losses=False, v=None):
+def _basis(plan, f, whole=True):
+    """The mode-3 basis at f, made once per (W, H, G), from B = H x_2 G
+    (J' x K x L'), made once per (H, G); B alone unless `whole`."""
+    made = plan.bases  # H, G, B, W, basis
+    if made[0] is not f.h or made[1] is not f.core:
+        made[:] = f.h, f.core, np.matmul(f.h, f.core), None, None
+    if whole and made[3] is not f.w:
+        made[3:] = f.w, _mode3_basis(f, made[2])
+    return made[4] if whole else made[2]
+
+
+def _pass(plan, f, beta, share, combine=np.add, losses=False, by_q=True):
     """Stream the data in the plan's slabs. Per slab: its model from the
-    mode-3 basis `v` (made unless given; at beta=2 only for the loss), its
-    loss if `losses`, and ``share(t, r, rows)`` of its MU terms n and d.
-    Return n's and d's shares folded by `combine` (d's None at beta 1 and
-    2, where d is all ones or the model) and the loss or None."""
-    if beta == 2.0 and not losses:  # the MU terms are the data: no model
-        v = None
-    elif v is None:
-        v = _mode3_basis(f)
-    qt = None if v is None else np.ascontiguousarray(f.q.T)
+    mode-3 basis (at beta=2 only for the loss), its loss if `losses`, and
+    ``share(t, r, rows)`` of its MU terms t, contracted with Q first if
+    `by_q`: n alone at beta 1 and 2, where d is all ones or the model, else
+    n and d stacked. Return n's and d's shares folded by `combine` (d's None
+    at beta 1 and 2) and the loss or None."""
+    if plan.at_q[0] is not f.q:  # Q, Q^T and X Q (made by a beta=2 pass), once per Q
+        plan.at_q = [f.q, np.ascontiguousarray(f.q.T), None]
+    at_q = plan.at_q
+    v = None if beta == 2.0 and not losses else _basis(plan, f)  # at beta=2 the MU terms are the data
+    xq = at_q[2] if beta == 2.0 and by_q else None
+    if fill := beta == 2.0 and by_q and xq is None:
+        xq = np.empty((len(plan.x3), f.q.shape[1]))
     shared = losses and beta == 1.0 and plan.shared_ratio
-    num, den, loss = None, None, 0.0 if losses else None
-    for r, rows, xs, x_term in plan.slabs:
+    nd, loss = None, 0.0 if losses else None
+    for r, rows, xs, x_term, m, s, ms in plan.slabs:
         if v is not None:
-            m = np.matmul(v[rows], qt, out=plan.model[:len(xs)])
-            s = plan.scratch[:len(xs)]
+            np.matmul(v[rows], at_q[1], out=m)
         if losses and not shared:
             loss += objective(xs, m, beta, s, x_term)
         # n and d are made in place in m and s
         if beta == 2.0:
-            n, d = xs, None
+            t = xs
         elif beta == 1.0:
-            n, d = np.divide(xs, m, out=s if shared else m), None
+            t = np.divide(xs, m, out=s if shared else m)
         elif beta == 0.0:  # x / m**2 and 1 / m
-            d = np.reciprocal(m, out=s)
-            n = np.multiply(np.multiply(xs, s, out=m), s, out=m)
+            np.reciprocal(m, out=s)
+            np.multiply(np.multiply(xs, s, out=m), s, out=m)
+            t = ms  # n in m, d in s
         else:  # x m**(beta-2) and m**(beta-1)
             np.power(m, beta - 2.0, out=s)
-            d = np.multiply(m, s, out=m)
-            n = np.multiply(s, xs, out=s)
-        num = share(n, r, rows) if num is None else combine(num, share(n, r, rows))
-        if d is not None:
-            den = share(d, r, rows) if den is None else combine(den, share(d, r, rows))
+            np.multiply(m, s, out=m)
+            np.multiply(s, xs, out=s)
+            t = ms[::-1]  # n in s, d in m
+        if by_q:
+            t = t @ f.q if xq is None else np.matmul(t, f.q, out=xq[rows]) if fill else xq[rows]
+        part = share(t, r, rows)
+        nd = part if nd is None else combine(nd, part)
         if shared:  # the loss takes its log of x/m in s, once the share has read it
             loss += objective(xs, m, beta, s, x_term, ratio_in_out=True)
+    if fill:
+        at_q[2] = xq
+    num, den = (nd, None) if beta in (1.0, 2.0) else nd
     return num, den, loss
 
 
@@ -217,50 +241,46 @@ def _scale(u, num, den, cfg):
 
 
 def _mode1_terms(plan, f, beta, losses=False):
-    """Fill the plan's slot with ``(f, B, num, den, X Q)``: B = H x_2 G, mode 1's
-    MU products at `f` (each slab gives its rows) and X Q at beta=2, else None.
-    Mode 1 reads it only at that `f`, mode 2 only at that Q. Return the loss if `losses`."""
-    plan.slot = None  # its X Q goes before the next one is made
-    b = np.matmul(f.h, f.core)  # J' x K x L'
+    """Fill the plan's slot with ``(f, B, num, den)``: mode 1's MU products at
+    `f` (each slab gives its rows), which mode 1 reads only at that `f`.
+    Return the loss if `losses`."""
+    b = _basis(plan, f, whole=False)
     bt = b.reshape(len(b), -1).T
-    xq = np.empty((len(plan.x3), f.q.shape[1])) if beta == 2.0 else None
 
-    def share(t, r, rows):
-        tq = t @ f.q if xq is None else np.matmul(t, f.q, out=xq[rows])
-        return tq.reshape(-1, len(bt)) @ bt
+    def share(tq, r, rows):
+        return tq.reshape(tq.shape[:-2] + (-1, len(bt))) @ bt
 
-    num, den, loss = _pass(plan, f, beta, share, lambda a, c: np.concatenate((a, c)), losses)
-    plan.slot = f, b, num, den, xq
+    num, den, loss = _pass(plan, f, beta, share, lambda a, c: np.concatenate((a, c), axis=-2), losses)
+    plan.slot = f, b, num, den
     return loss
 
 
 def update_mode_factor(x, f, mode, cfg, plan=None):
     """One multiplicative update of the factor for `mode`. `plan`, made if
-    omitted, is the :class:`_Plan` of `x`, whose slot serves where valid."""
+    omitted, is the :class:`_Plan` of `x`, whose slot and products serve where valid."""
     j, k, _ = x.shape
     jc, kc, lc = f.core.shape
     plan = _Plan(x) if plan is None else plan
     if mode == 3:  # x.reshape(J*K, L) ~ V Q^T with V the mode-3 basis
-        v = _mode3_basis(f)
-        num, den, _ = _pass(plan, f, cfg.beta, lambda t, r, rows: t.T @ v[rows], v=v)
+        v = _basis(plan, f)
+        num, den, _ = _pass(plan, f, cfg.beta, lambda t, r, rows: t.swapaxes(-1, -2) @ v[rows], by_q=False)
         if cfg.beta == 2.0:
             den = f.q @ (v.T @ v)
-        return _scale(f.q, num, v.sum(axis=0) if den is None else den, cfg)
+        return _scale(f.q, num, np.add.reduce(v) if den is None else den, cfg)
     # x ~ U V with V[a,n,l] = sum_c B[a,n,c] Q[l,c]: contract T with Q, then B
     if mode == 1:  # B = H x_2 G, J' x K x L'
         if plan.slot is None or plan.slot[0] is not f:
             _mode1_terms(plan, f, cfg.beta)
-        u, (_, b, num, den, _) = f.w, plan.slot
+        u, (_, b, num, den) = f.w, plan.slot
     elif mode == 2:
         # B = W x_1 G, K' x J x L'; one GEMM per slab and product, where J
         # per-slice matmuls would each wait on the BLAS threads
         u, b = f.h, (f.w @ f.core.reshape(jc, -1)).reshape(j, kc, lc).transpose(1, 0, 2)
         rows = b.reshape(kc, -1)  # a copy at factor-times-core size
-        xq = plan.slot[4] if plan.slot is not None and plan.slot[0].q is f.q else None
 
-        def share(t, r, slab_rows):  # slab rows x L -> K x K', copying at slab-times-L'/L size
-            tq = t @ f.q if xq is None else xq[slab_rows]
-            tq = tq.reshape(-1, k, lc).transpose(1, 0, 2).reshape(k, -1)
+        def share(tq, r, _):  # slab rows x L' -> K x K', copying at slab-times-L'/L size
+            lead = tq.shape[:-2]
+            tq = tq.reshape(lead + (-1, k, lc)).swapaxes(-3, -2).reshape(lead + (k, -1))
             return tq @ rows[:, r.start * lc:r.stop * lc].T
 
         num, den, _ = _pass(plan, f, cfg.beta, share)
@@ -269,7 +289,7 @@ def update_mode_factor(x, f, mode, cfg, plan=None):
     if cfg.beta == 2.0:  # V V^T = B (Q^T Q) B^T, at core size
         den = u @ ((b @ (f.q.T @ f.q)).reshape(len(b), -1) @ b.reshape(len(b), -1).T)
     elif den is None:
-        den = b.sum(axis=1) @ f.q.sum(axis=0)
+        den = np.add.reduce(b, axis=1) @ np.add.reduce(f.q)
     return _scale(u, num, den, cfg)
 
 
@@ -277,19 +297,18 @@ def update_core(x, f, cfg, plan=None):
     """One multiplicative update of the core: the products with the
     transposed Kronecker matrix contract each slab's MU terms with Q, H
     and W in turn. `plan` is as for :func:`update_mode_factor`."""
-    k = x.shape[1]
-    shape = f.core.shape
+    k, shape = x.shape[1], f.core.shape
 
-    def share(t, r, _):  # slab rows x L -> J' x K' x L'
-        th = np.matmul(f.h.T, (t @ f.q).reshape(-1, k, shape[2]))  # (slices, K', L')
-        return (f.w[r].T @ th.reshape(len(th), -1)).reshape(shape)
+    def share(tq, r, _):  # slab rows x L' -> J' x K' x L'
+        th = np.matmul(f.h.T, tq.reshape(tq.shape[:-2] + (-1, k, shape[2])))  # (slices, K', L')
+        return (f.w[r].T @ th.reshape(th.shape[:-2] + (-1,))).reshape(th.shape[:-3] + shape)
 
     num, den, _ = _pass(_Plan(x) if plan is None else plan, f, cfg.beta, share)
     if cfg.beta == 2.0:  # G x_1 W^T W x_2 H^T H x_3 Q^T Q
         wg = ((f.w.T @ f.w) @ f.core.reshape(shape[0], -1)).reshape(shape)
         den = np.matmul(f.h.T @ f.h, wg) @ (f.q.T @ f.q)
     elif den is None:  # the outer product of the factors' column sums
-        den = np.multiply.outer(np.outer(f.w.sum(axis=0), f.h.sum(axis=0)), f.q.sum(axis=0))
+        den = (np.add.reduce(f.w)[:, None] * np.add.reduce(f.h))[:, :, None] * np.add.reduce(f.q)
     return _scale(f.core, num, den, cfg)
 
 

@@ -6,7 +6,9 @@ literal words, positive integer dimensions and optional further fields,
 then the entries in C order, whitespace-separated, one row per line;
 every row holds the same count of values and blank lines are skipped.
 Time files (bar grids, boundary sets) hold one finite time in seconds
-per line.
+per line. Both kinds of file parse their numbers with one `np.loadtxt`
+helper, so a time file accepts exactly the numbers an array file does:
+no digit separators (``1_5``) and no non-ASCII digits.
 Values are written with 17 significant digits, so every float64 reads
 back exactly.
 """
@@ -17,6 +19,12 @@ import warnings
 import numpy as np
 
 from .errors import ParseError
+
+
+def _floats(lines):
+    """The numbers in the text `lines` (a file or a list of strings) as a
+    1-D or 2-D float64 array; a ValueError if one does not parse."""
+    return np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=1)
 
 
 def read_array(path, magic, ndim, usage, extra=0):
@@ -45,7 +53,7 @@ def read_array(path, magic, ndim, usage, extra=0):
             # a header-only file is reported by the count check below
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             try:
-                data = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=1)
+                data = _floats(fh)
             except ValueError as exc:
                 raise ParseError(f"{path}: malformed numeric data: {exc}") from None
     size = math.prod(dims)
@@ -93,7 +101,7 @@ def read_times(path):
             if not line:
                 continue
             try:
-                t = float(line)
+                (t,) = _floats([line]).tolist()  # one number, or a ValueError
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: not a number: {line!r}") from None
             if not math.isfinite(t):

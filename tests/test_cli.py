@@ -365,6 +365,18 @@ class TestPipeline:
         assert f"{bars_path}:3: non-finite time" in capsys.readouterr().err
         assert not (out / "boundaries.txt").exists()
 
+    @pytest.mark.parametrize("bad", ["1_5", "\u0661\u0662"])
+    def test_bar_number_the_array_reader_rejects_exit_code(self, tmp_path, capsys, bad):
+        spec_path, bars_path = synthetic_song(tmp_path)
+        lines = bars_path.read_text().splitlines()
+        lines[2] = bad
+        bars_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "o"
+        rc = main(["pipeline", str(spec_path), str(bars_path), "--out", str(out)])
+        assert rc == EXIT_PARSE
+        assert f"{bars_path}:3: not a number" in capsys.readouterr().err
+        assert not (out / "boundaries.txt").exists()
+
     def test_bar_span_mismatch(self, tmp_path):
         spec_path = tmp_path / "spec.txt"
         bars_path = tmp_path / "bars.txt"
@@ -449,6 +461,16 @@ class TestEval:
         rc = main(["eval", str(est), str(est), "--out", str(out)])
         assert rc == EXIT_PARSE
         assert f"{est}:3: non-finite time" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("bad", ["1_5", "\u0661\u0662"])
+    def test_number_the_array_reader_rejects_exit_code(self, tmp_path, capsys, bad):
+        est = tmp_path / "est.txt"
+        est.write_text(f"0.0\n10.0\n{bad}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        rc = main(["eval", str(est), str(est), "--out", str(out)])
+        assert rc == EXIT_PARSE
+        assert f"{est}:3: not a number" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     def test_unsorted_file_exit_code(self, tmp_path):

@@ -236,6 +236,19 @@ class TestFiles:
         with pytest.raises(ValueError, match="times must be finite"):
             BoundarySet([0.0, float(bad)])
 
+    # Python's float() reads these as 15 and 12; the array reader's np.loadtxt does not
+    @pytest.mark.parametrize("bad", ["1_5", "\u0661\u0662", "\uff11\uff12"])
+    def test_number_the_array_reader_rejects_names_line(self, tmp_path, bad):
+        path = tmp_path / "b.txt"
+        path.write_text(f"0.0\n{bad}\n20.0\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"b.txt:2: not a number: '{bad}'"):
+            read_boundaries(path)
+
+    def test_exponent_notation(self, tmp_path):
+        path = tmp_path / "b.txt"
+        path.write_text("0.0\n1e1\n 2.5E+1 \n")
+        assert read_boundaries(path).times.tolist() == [0.0, 10.0, 25.0]
+
     def test_report_files(self, tmp_path):
         est = BoundarySet([0.0, 10.0, 20.0, 30.0])
         rep = evaluate_boundaries(est, est, 0.5)

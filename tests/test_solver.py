@@ -554,6 +554,51 @@ class TestSlabs:
             np.testing.assert_array_equal(ours, update_mode_factor(x, h, mode, cfg))
         assert made_at == [g]
 
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_products_serve_only_the_factors_they_were_made_at(self, beta):
+        # a loss pass at f keeps H x_2 G, the mode-3 basis, Q^T and (beta=2)
+        # X Q in the plan, and a beta=2 core pass keeps X Q at its Q: an
+        # update at factors that share some of f's, and at none, equals a
+        # plan-less one bit for bit
+        x, f, cfg = _instance((7, 3, 4), (3, 2, 2), beta, seed=35)
+        g = init_factors(x.shape, replace(cfg, seed=36))
+        plan = beta_ntd.solver._Plan(x, beta)
+        mixes = [FactorSet(g.w, f.h, f.q, f.core), FactorSet(f.w, g.h, f.q, f.core),
+                 FactorSet(f.w, f.h, g.q, f.core), FactorSet(f.w, f.h, f.q, g.core), g]
+        for h in mixes:
+            for update in (1, 2, 3, "core", 3, 2):
+                beta_ntd.solver._mode1_terms(plan, f, beta, losses=True)
+                if update == "core":
+                    update_core(x, FactorSet(f.w, f.h, h.q, f.core), cfg, plan)
+                    np.testing.assert_array_equal(update_core(x, h, cfg, plan), update_core(x, h, cfg))
+                else:
+                    ours = update_mode_factor(x, h, update, cfg, plan)
+                    np.testing.assert_array_equal(ours, update_mode_factor(x, h, update, cfg))
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_one_iterate_builds_the_mode3_basis_per_new_factors(self, beta, monkeypatch):
+        # after the loss pass at f, mode 2 builds the basis for its model
+        # (none at beta=2) and mode 3 for its products; the core pass reuses mode 3's
+        make = beta_ntd.solver._mode3_basis
+        built = []
+
+        def counted(at, *args):
+            built.append((at.w, at.h, at.core))
+            return make(at, *args)
+
+        monkeypatch.setattr(beta_ntd.solver, "_mode3_basis", counted)
+        x, f, cfg = _instance((7, 3, 4), (3, 2, 2), beta, seed=37)
+        plan = beta_ntd.solver._Plan(x, beta)
+        beta_ntd.solver._mode1_terms(plan, f, beta, losses=True)
+        assert len(built) == 1
+        g = iterate(x, f, cfg, plan)
+        mode3 = (g.w, g.h, f.core)
+        expected = [mode3] if beta == 2.0 else [(g.w, f.h, f.core), mode3]
+        assert len(built) == 1 + len(expected)
+        assert all(all(a is b for a, b in zip(made, want)) for made, want in zip(built[1:], expected))
+        beta_ntd.solver._mode1_terms(plan, g, beta, losses=True)
+        assert len(built) == 2 + len(expected)
+
     def test_unclamped_beta_one_with_zeros_and_a_subnormal(self):
         # data below the smallest normal float: the loss takes its own ratio
         x, init, cfg = _instance((7, 3, 4), (3, 2, 2), 1.0, seed=32)

@@ -133,6 +133,13 @@ class TestFiles:
         with pytest.raises(ParseError, match=f"b.txt:3: non-finite time '{bad}'"):
             read_bars(path)
 
+    @pytest.mark.parametrize("bad", ["1_5", "\u0661\u0662"])
+    def test_bars_number_the_array_reader_rejects_names_line(self, tmp_path, bad):
+        path = tmp_path / "b.txt"
+        path.write_text(f"0.0\n2.0\n{bad}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"b.txt:3: not a number: '{bad}'"):
+            read_bars(path)
+
     def test_bars_unsorted_names_line(self, tmp_path):
         path = tmp_path / "b.txt"
         path.write_text("0.0\n2.0\n1.0\n")
