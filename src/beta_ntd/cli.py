@@ -47,14 +47,17 @@ def _version():
         return "unknown"
 
 
-def _parse_triple(text, flag):
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"{flag} expects three comma-separated integers, got {text!r}")
+def _parse_list(text, flag, dims=False):
+    """The numbers of `flag`'s comma-separated list `text`, or with `dims`
+    its three integers >= 1; a ValueError names `flag`."""
     try:
-        return tuple(int(p) for p in parts)
+        values = tuple((int if dims else float)(p) for p in text.split(","))
     except ValueError:
-        raise ValueError(f"{flag}: non-integer in {text!r}") from None
+        values = ()
+    if not values or dims and (len(values) != 3 or min(values) < 1):
+        what = "3 integers >= 1" if dims else "numbers"
+        raise ValueError(f"{flag} expects {what}, separated by commas, got {text!r}")
+    return values
 
 
 SOLVER_FLAGS = ("beta", "core_dims", "epsilon", "max_iters", "rel_tol", "seed")
@@ -63,7 +66,7 @@ SOLVER_FLAGS = ("beta", "core_dims", "epsilon", "max_iters", "rel_tol", "seed")
 def _solver_config(args, **fixed):
     """The SolverConfig of the solver flags `args` holds, with the `fixed` fields."""
     given = {name: getattr(args, name) for name in SOLVER_FLAGS if name in vars(args)}
-    given["core_dims"] = _parse_triple(given["core_dims"], "--core-dims")
+    given["core_dims"] = _parse_list(given["core_dims"], "--core-dims", dims=True)
     return SolverConfig(**given, **fixed)
 
 
@@ -158,8 +161,7 @@ def cmd_decompose(args, out_dir):
     x = read_tensor(args.tensor)
     cfg = _solver_config(args)
     init = _read_init(args.init, x.shape, cfg.core_dims) if args.init else None
-    clamp = {"auto": None, "yes": True, "no": False}[args.clamp_data]
-    factors, trace = solve(x, cfg, init=init, clamp_data=clamp)
+    factors, trace = solve(x, cfg, init=init)
     _write_solution(out_dir, factors, trace)
     return cfg, _solve_record(trace)
 
@@ -196,8 +198,8 @@ def cmd_eval(args, out_dir):
     ref = seg.read_boundaries(args.ref)
     # every tolerance is scored, and so checked, before any report is written
     reports = [
-        seg.evaluate_boundaries(est, ref, float(t), exclude_endpoints=not args.include_endpoints)
-        for t in args.tolerances.split(",")
+        seg.evaluate_boundaries(est, ref, t, exclude_endpoints=not args.include_endpoints)
+        for t in _parse_list(args.tolerances, "--tolerances")
     ]
     names = [f"report_{r.tolerance:g}" for r in reports]  # six significant digits
     for i, name in enumerate(names):
@@ -212,12 +214,10 @@ def cmd_eval(args, out_dir):
 def cmd_bench(args, out_dir):
     if args.iters < 1:
         raise ValueError(f"--iters must be >= 1, got {args.iters}")
-    dims = _parse_triple(args.dims, "--dims")
-    betas = [float(b) for b in args.betas.split(",")]
-    rng = np.random.default_rng(args.seed)
-    x = rng.uniform(0.1, 1.0, dims)
-    base = _solver_config(args, max_iters=args.iters, rel_tol=0.0)
-    cfgs = [replace(base, beta=beta) for beta in betas]
+    dims = _parse_list(args.dims, "--dims", dims=True)
+    base = _solver_config(args, max_iters=args.iters, rel_tol=0.0)  # checks --seed
+    cfgs = [replace(base, beta=beta) for beta in _parse_list(args.betas, "--betas")]
+    x = np.random.default_rng(base.seed).uniform(0.1, 1.0, dims)
     # one-iteration solves, so the warm-up overruns its time by one short solve
     warmup_iters, deadline = 0, time.perf_counter() + BENCH_WARMUP_SECONDS
     while time.perf_counter() < deadline:
@@ -250,7 +250,6 @@ def build_parser():
     _add_solver_flags(p)
     p.add_argument("--init", default=None, metavar="DIR",
                    help="directory with factor_w/h/q.txt and core.txt to start from")
-    p.add_argument("--clamp-data", choices=["auto", "yes", "no"], default="auto")
     p.add_argument("--out", required=True, metavar="DIR")
     p.set_defaults(func=cmd_decompose)
 

@@ -17,8 +17,8 @@ the denominators are in Gram form and only the loss builds a model. The plan
 keeps each product that more than one pass reads, with the factors it was
 made from: mode 1's products, H x_2 G, the mode-3 basis, Q^T and, at beta=2,
 X Q. So each is made once per new factor. `solve` checks the data's
-domain once, from its minimum and maximum, and copies it only when
-clamping changes an entry; in the loop every entry is at least epsilon.
+domain once, from its minimum and maximum, and at beta <= 1 raises it to
+epsilon, a normal float, copying it only when that changes an entry.
 """
 
 import math
@@ -41,7 +41,7 @@ from .tensor_ops import (  # noqa: F401
     multiway_product,
 )
 
-_TINY = np.finfo(np.float64).tiny
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 @dataclass
@@ -60,19 +60,19 @@ class SolverConfig:
     def __post_init__(self):
         if not math.isfinite(self.beta):
             raise ValueError(f"beta must be finite, got {self.beta}")
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
-        dims = self.core_dims  # counts are whole numbers: is_integer() is False for NaN and inf
-        if len(dims) != 3 or not all(float(d).is_integer() and int(d) >= 1 for d in dims):
+        if not _TINY <= self.epsilon < math.inf:  # clamped data stay normal floats for x/m
+            raise ValueError(f"epsilon must be finite and at least {_TINY}, got {self.epsilon}")
+        dims = self.core_dims  # counts are whole numbers: n % 1 is NaN for NaN and inf
+        if len(dims) != 3 or not all(d % 1 == 0 and d >= 1 for d in dims):
             raise ValueError(f"core_dims must be three positive integers, got {dims}")
-        if not (float(self.max_iters).is_integer() and self.max_iters >= 0):
-            raise ValueError(f"max_iters must be an integer >= 0, got {self.max_iters}")
         if not 0 <= self.rel_tol < math.inf:
             raise ValueError(f"rel_tol must be finite and >= 0, got {self.rel_tol}")
-        if not (float(self.loss_eval_period).is_integer() and self.loss_eval_period >= 1):
-            raise ValueError(f"loss_eval_period must be an integer >= 1, got {self.loss_eval_period}")
         self.core_dims = tuple(int(d) for d in dims)
-        self.max_iters, self.loss_eval_period = int(self.max_iters), int(self.loss_eval_period)
+        for name, least in (("max_iters", 0), ("loss_eval_period", 1), ("seed", 0)):
+            n = getattr(self, name)
+            if not (n % 1 == 0 and n >= least):  # float(n) would overflow past 1e308
+                raise ValueError(f"{name} must be an integer >= {least}, got {n}")
+            setattr(self, name, int(n))
 
 
 @dataclass
@@ -158,17 +158,16 @@ class _Plan:
     """Per slab of data `x`: its mode-1 range, rows of ``x.reshape(J*K, L)``,
     their view, (given `beta`) data term, and its model and scratch views,
     apart and stacked, into one buffer pair of the first (largest) slab's
-    size. Also whether x/m is the beta=1 loss's max(x, tiny)/m, and what one
-    pass hands to the next, each with the factors it was made from: the slot
-    of :func:`_mode1_terms` (or None), :func:`_basis`'s and :func:`_pass`'s."""
+    size. Also what one pass hands to the next, each with the factors it was
+    made from: the slot of :func:`_mode1_terms` (or None), :func:`_basis`'s
+    and :func:`_pass`'s."""
 
-    def __init__(self, x, beta=None, lo=0.0):
+    def __init__(self, x, beta=None):
         self.x3 = x3 = x.reshape(-1, x.shape[2])
         cuts = [(r, rows, x3[rows]) for r, rows in _slabs(x.shape, _SLAB_ENTRIES)]
         pair = np.empty((2,) + cuts[0][2].shape)
         self.slabs = [(r, rows, xs, None if beta is None else data_term(x[r], beta),
                        *pair[:, :len(xs)], pair[:, :len(xs)]) for r, rows, xs in cuts]
-        self.shared_ratio = lo >= _TINY
         self.slot, self.bases, self.at_q = None, [None] * 5, [None] * 3
 
 
@@ -197,7 +196,7 @@ def _pass(plan, f, beta, share, combine=np.add, losses=False, by_q=True):
     xq = at_q[2] if beta == 2.0 and by_q else None
     if fill := beta == 2.0 and by_q and xq is None:
         xq = np.empty((len(plan.x3), f.q.shape[1]))
-    shared = losses and beta == 1.0 and plan.shared_ratio
+    shared = losses and beta == 1.0  # the loss reads mode 1's x/m
     nd, loss = None, 0.0 if losses else None
     for r, rows, xs, x_term, m, s, ms in plan.slabs:
         if v is not None:
@@ -208,7 +207,7 @@ def _pass(plan, f, beta, share, combine=np.add, losses=False, by_q=True):
         if beta == 2.0:
             t = xs
         elif beta == 1.0:
-            t = np.divide(xs, m, out=s if shared else m)
+            t = np.divide(xs, m, out=s)
         elif beta == 0.0:  # x / m**2 and 1 / m
             np.reciprocal(m, out=s)
             np.multiply(np.multiply(xs, s, out=m), s, out=m)
@@ -322,7 +321,7 @@ def iterate(x, f, cfg, plan=None):
     return FactorSet(f.w, f.h, f.q, update_core(x, f, cfg, plan=plan))
 
 
-def solve(x, cfg, init=None, clamp_data=None):
+def solve(x, cfg, init=None):
     """
     Run multiplicative updates until the iteration budget is exhausted or
     the relative loss decrease over one evaluation period falls below
@@ -331,15 +330,12 @@ def solve(x, cfg, init=None, clamp_data=None):
     Parameters
     ----------
     x : ndarray, shape (J, K, L)
-        Nonnegative, finite, non-empty data tensor.
+        Nonnegative, finite, non-empty data tensor; raised to cfg.epsilon at
+        beta <= 1, where a zero entry leaves the divergence undefined or unbounded.
     cfg : SolverConfig
     init : FactorSet, optional
         Starting point, shaped by the data and cfg.core_dims, with finite
         nonnegative entries; a fresh seeded draw when omitted.
-    clamp_data : bool, optional
-        Clamp the data to cfg.epsilon before solving. Defaults to True
-        when beta <= 1 (where zero data entries make the divergence
-        undefined or unbounded) and False otherwise.
 
     Returns
     -------
@@ -353,15 +349,13 @@ def solve(x, cfg, init=None, clamp_data=None):
     lo, hi = float(x.min()), float(x.max())  # NaN propagates to both
     if not lo >= 0 and np.any(x < 0):  # a NaN minimum may hide a negative
         raise ValueError("data tensor must be nonnegative")
-    if clamp_data is None:
-        clamp_data = cfg.beta <= 1.0
-    if clamp_data and lo < cfg.epsilon:  # max(x, eps) is x where x >= eps
-        x, lo = clamp_min(x, cfg.epsilon), cfg.epsilon
-    if not (math.isfinite(lo) and math.isfinite(hi)) or (lo == 0 and cfg.beta <= 0):
+    if cfg.beta <= 1.0 and lo < cfg.epsilon:  # max(x, eps) is x where x >= eps
+        x = clamp_min(x, cfg.epsilon)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         check_domain(x, None, cfg.beta)  # raises, naming the first bad index
 
     f = init_factors(x.shape, cfg) if init is None else _checked_copy(init, x.shape, cfg.core_dims)
-    plan = _Plan(x, cfg.beta, lo)
+    plan = _Plan(x, cfg.beta)
     loss = _mode1_terms(plan, f, cfg.beta, losses=True)  # also the next mode 1's products
     trace = LossTrace([loss])
     if not math.isfinite(loss):

@@ -532,8 +532,7 @@ def short_run(command, tmp_path):
     if command == "decompose":
         path = tmp_path / "x.txt"
         write_tensor(path, np.random.default_rng(0).uniform(0.1, 1.0, (5, 4, 3)))
-        return ["decompose", str(path), "--core-dims", "2,2,2", "--max-iters", "3",
-                "--clamp-data", "yes"]
+        return ["decompose", str(path), "--core-dims", "2,2,2", "--max-iters", "3"]
     if command == "pipeline":
         spec_path, bars_path = synthetic_song(tmp_path)
         return ["pipeline", str(spec_path), str(bars_path), "--feature", "mel",
@@ -544,6 +543,31 @@ def short_run(command, tmp_path):
         return ["eval", str(est), str(est), "--tolerances", "1,2", "--include-endpoints"]
     return ["bench", "--dims", "4,4,4", "--core-dims", "2,2,2", "--betas", "0,2",
             "--iters", "2"]
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("decompose", "--core-dims", "2,0,2", "--core-dims expects 3 integers >= 1"),
+    ("bench", "--dims", "-1,2,2", "--dims expects 3 integers >= 1"),
+    ("bench", "--betas", "one", "--betas expects numbers"),
+    ("eval", "--tolerances", "0.5,", "--tolerances expects numbers"),
+], ids=["core-dims", "dims", "betas", "tolerances"])
+def test_list_flag_errors_name_the_flag(tmp_path, capsys, command, flag, value, message):
+    out = tmp_path / "out"
+    assert main(short_run(command, tmp_path) + [f"{flag}={value}", "--out", str(out)]) == EXIT_ARGUMENT
+    assert f"error: {message}, separated by commas, got {value!r}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["decompose", "pipeline", "bench"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seed", "-1", "seed must be an integer >= 0, got -1"),
+    ("--epsilon", "1e-310", "epsilon must be finite and at least 2.2250738585072014e-308"),
+], ids=["seed", "epsilon"])
+def test_solver_flag_errors_name_the_field(tmp_path, capsys, command, flag, value, message):
+    out = tmp_path / "out"
+    assert main(short_run(command, tmp_path) + [f"{flag}={value}", "--out", str(out)]) == EXIT_ARGUMENT
+    assert f"error: {message}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 class TestManifest:
@@ -588,8 +612,9 @@ class TestModuleEntry:
                               env=env, capture_output=True, text=True)
 
     def test_domain_error_exit_code(self, tmp_path):
-        write_tensor(tmp_path / "zero.txt", np.zeros((3, 3, 3)))
-        done = self.run("decompose", "zero.txt", "--beta", "0", "--clamp-data", "no",
+        # finite data whose loss overflows at the starting point
+        write_tensor(tmp_path / "huge.txt", np.full((3, 3, 3), 1e200))
+        done = self.run("decompose", "huge.txt", "--beta", "2",
                         "--core-dims", "2,2,2", "--out", "o", cwd=tmp_path)
         assert done.returncode == EXIT_NUMERICAL, done.stderr
         assert "error:" in done.stderr

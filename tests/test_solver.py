@@ -253,14 +253,6 @@ class TestSolve:
         with pytest.raises(NumericalDomainError, match=r"non-finite data entry at index \(1, 2, 0\)"):
             solve(x, SolverConfig(core_dims=(1, 1, 1)))
 
-    def test_rejects_unclamped_zero_data_at_beta0_before_iterating(self, monkeypatch):
-        monkeypatch.setattr(beta_ntd.solver, "iterate", _no_iterate)
-        x = np.ones((3, 4, 2))
-        x[2, 0, 1] = 0.0
-        cfg = SolverConfig(beta=0.0, core_dims=(1, 1, 1))
-        with pytest.raises(NumericalDomainError, match=r"data entry 0 .* at index \(2, 0, 1\)"):
-            solve(x, cfg, clamp_data=False)
-
     @pytest.mark.parametrize("beta", [0.0, 1.0, 2.0])
     @pytest.mark.parametrize("case", sorted(_DOMAIN_CASES))
     def test_domain_errors_keep_type_and_index(self, case, beta, monkeypatch):
@@ -270,38 +262,26 @@ class TestSolve:
             x = np.ones((3, 0, 2))
         else:
             x = np.full((3, 4, 2), 0.5)
-            x[0, 0, 0] = 0.0  # clamped by default at beta <= 1
+            x[0, 0, 0] = 0.0  # clamped at beta <= 1, before the check
             for index, value in entries.items():
                 x[index] = value
-        for clamp in (None, True, False):
-            with pytest.raises(error, match=match):
-                solve(x, SolverConfig(beta=beta, core_dims=(1, 1, 1)), clamp_data=clamp)
+        with pytest.raises(error, match=match):
+            solve(x, SolverConfig(beta=beta, core_dims=(1, 1, 1)))
 
     @pytest.mark.parametrize("beta", [0.0, 1.0, 2.0])
-    @pytest.mark.parametrize("low", [0.0, 0.6e-12, 0.5])
+    @pytest.mark.parametrize("low", [0.0, -0.0, 0.6e-12, 0.5])
     def test_clamps_below_epsilon_without_naming_scan(self, beta, low, monkeypatch):
-        # good data: the bounds alone pass it, and clamping by default is
-        # solving the explicitly clamped data
+        # good data: the bounds alone pass it, and solving it at beta <= 1 is
+        # solving the data clamped beforehand
         monkeypatch.setattr(beta_ntd.solver, "check_domain", _no_scan)
         x = np.random.default_rng(26).uniform(0.1, 1.0, (5, 4, 3))
         x[1, 2, 0] = low
         cfg = SolverConfig(beta=beta, core_dims=(2, 2, 2), max_iters=4, rel_tol=0.0)
         f, trace = solve(x, cfg)
         clamped = np.maximum(x, cfg.epsilon) if beta <= 1 else x
-        f0, trace0 = solve(clamped, cfg, clamp_data=False)
+        f0, trace0 = solve(clamped, cfg)
         assert trace.losses == trace0.losses
         np.testing.assert_array_equal(f.core, f0.core)
-
-    @pytest.mark.parametrize("beta", [-0.5, 0.0])
-    def test_unclamped_zero_named_at_beta_le_zero(self, beta, monkeypatch):
-        monkeypatch.setattr(beta_ntd.solver, "iterate", _no_iterate)
-        x = np.full((3, 4, 2), 0.5)
-        x[1, 3, 0] = x[2, 1, 1] = 0.0
-        with pytest.raises(NumericalDomainError, match=r"data entry 0 .* at index \(1, 3, 0\)"):
-            solve(x, SolverConfig(beta=beta, core_dims=(1, 1, 1)), clamp_data=False)
-        x[1, 3, 0] = -0.0  # compares equal to zero, not below it
-        with pytest.raises(NumericalDomainError, match=r"data entry 0 .* at index \(1, 3, 0\)"):
-            solve(x, SolverConfig(beta=beta, core_dims=(1, 1, 1)), clamp_data=False)
 
     @pytest.mark.parametrize("beta", [0.0, 1.0, 2.0])
     def test_peak_memory_on_data_above_epsilon(self, beta):
@@ -378,6 +358,12 @@ class TestSolve:
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(epsilon=0.0)
+    # a subnormal epsilon would let clamped data fall below the smallest normal float
+    tiny = np.finfo(np.float64).tiny
+    for epsilon in (5e-324, 1e-310, np.nextafter(tiny, 0)):
+        with pytest.raises(ValueError, match="^epsilon must be"):
+            SolverConfig(epsilon=epsilon)
+    assert SolverConfig(epsilon=tiny).epsilon == tiny
     with pytest.raises(ValueError):
         SolverConfig(core_dims=(0, 1, 1))
     with pytest.raises(ValueError):
@@ -387,12 +373,16 @@ def test_config_validation():
     # counts must be whole numbers, not silently truncated or failing later
     for field, value in [("core_dims", (2.5, 2, 2)), ("core_dims", (2, float("nan"), 2)),
                          ("max_iters", 2.5), ("max_iters", float("inf")),
-                         ("loss_eval_period", 1.5), ("loss_eval_period", float("nan"))]:
+                         ("loss_eval_period", 1.5), ("loss_eval_period", float("nan")),
+                         ("seed", -1), ("seed", 1.5), ("seed", float("inf"))]:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             SolverConfig(**{field: value})
-    cfg = SolverConfig(core_dims=(2.0, np.int64(3), 4), max_iters=5.0, loss_eval_period=np.int64(2))
-    assert (cfg.core_dims, cfg.max_iters, cfg.loss_eval_period) == ((2, 3, 4), 5, 2)
-    assert all(type(n) is int for n in (*cfg.core_dims, cfg.max_iters, cfg.loss_eval_period))
+    cfg = SolverConfig(core_dims=(2.0, np.int64(3), 4), max_iters=5.0, loss_eval_period=np.int64(2),
+                       seed=7.0)
+    assert (cfg.core_dims, cfg.max_iters, cfg.loss_eval_period, cfg.seed) == ((2, 3, 4), 5, 2, 7)
+    assert all(type(n) is int for n in (*cfg.core_dims, cfg.max_iters, cfg.loss_eval_period, cfg.seed))
+    big = SolverConfig(max_iters=10**400, seed=10**400)  # whole numbers past float's range
+    assert big.max_iters == big.seed == 10**400
 
 
 BETAS = [0.0, 0.5, 1.0, 1.5, 2.0, 3.0]
@@ -600,15 +590,17 @@ class TestSlabs:
         assert len(built) == 2 + len(expected)
 
     def test_unclamped_beta_one_with_zeros_and_a_subnormal(self):
-        # data below the smallest normal float: the loss takes its own ratio
+        # data below the smallest normal float is clamped to epsilon, so the
+        # loss's logarithm of mode 1's x/m is the public objective's
         x, init, cfg = _instance((7, 3, 4), (3, 2, 2), 1.0, seed=32)
         x[0, 1, 2] = x[3, 0, 0] = x[6, 2, 3] = 0.0
         x[4, 2, 1] = 5e-320
         cfg = replace(cfg, max_iters=5, rel_tol=0.0)
-        f, trace = solve(x, cfg, init=init, clamp_data=False)
+        f, trace = solve(x, cfg, init=init)
+        clamped = np.maximum(x, cfg.epsilon)
         assert trace.losses[-1] == pytest.approx(
-            objective(x, f.approximation(), 1.0), rel=1e-12, abs=0
+            objective(clamped, f.approximation(), 1.0), rel=1e-12, abs=0
         )
-        g = self._separate_updates(x, init, cfg)
+        g = self._separate_updates(clamped, init, cfg)
         for ours, public in zip((f.w, f.h, f.q, f.core), (g.w, g.h, g.q, g.core)):
             np.testing.assert_array_equal(ours, public)
