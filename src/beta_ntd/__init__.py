@@ -2,6 +2,8 @@
 beta-divergence, with barwise spectrogram tensorization and boundary
 evaluation."""
 
+__version__ = "0.1.0"
+
 from .divergence import beta_div, gamma_exponent, objective
 from .errors import NumericalDomainError, ParseError
 from .segmentation import (

@@ -12,17 +12,18 @@ domain error.
 """
 
 import argparse
+import ctypes
 import json
 import os
 import platform
 import sys
 import time
 from dataclasses import asdict, replace
-from importlib.metadata import PackageNotFoundError, version
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from . import segmentation as seg
 from . import tfb as tfb_mod
 from .errors import NumericalDomainError, ParseError
@@ -38,13 +39,6 @@ EXIT_NUMERICAL = 4
 # bench solves untimed for this long first: after a quiet spell the first
 # large multi-threaded BLAS products can run about 10x slow for about a second
 BENCH_WARMUP_SECONDS = 1.5
-
-
-def _version():
-    try:
-        return version("beta-ntd")
-    except PackageNotFoundError:
-        return "unknown"
 
 
 def _parse_list(text, flag, dims=False):
@@ -80,9 +74,21 @@ def _add_solver_flags(p, names=SOLVER_FLAGS):
             p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
 
 
+def _blas_threads():
+    """The thread count of numpy's bundled OpenBLAS, or None where that
+    library or its getter is missing."""
+    try:
+        lib = next((Path(np.__file__).parents[1] / "numpy.libs").glob("*openblas*"))
+        getter = ctypes.CDLL(str(lib)).scipy_openblas_get_num_threads64_
+    except (StopIteration, OSError, AttributeError):
+        return None
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    return getter()
+
+
 def _environment():
     """Interpreter, numpy and BLAS versions, the BLAS thread settings and
-    the CPU model; nothing that changes between reruns on one machine."""
+    count, and the CPU model; nothing that changes between reruns on one machine."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     try:
         with open("/proc/cpuinfo") as fh:
@@ -94,6 +100,7 @@ def _environment():
         "numpy": np.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "threads": {k: os.environ.get(k) for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+        "blas_threads": _blas_threads(),
         "cpu": cpu,
     }
 
@@ -117,7 +124,7 @@ def _write_manifest(out_dir, args, cfg, results, elapsed):
         "args": {k: v for k, v in vars(args).items() if k not in ("out", "func", "command")},
         "config": asdict(cfg) if cfg is not None else None,
         "wall_seconds": elapsed,
-        "version": _version(),
+        "version": __version__,
         "environment": _environment(),
         **results,
     }

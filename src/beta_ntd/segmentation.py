@@ -100,16 +100,9 @@ def segment_bars(sim, kernel_half_width=4, peak_threshold=1.0):
     # with sim, keeping the result invariant under positive rescaling
     floor = 1e-8 * (2 * hw) ** 2 * np.max(np.abs(sim), initial=0.0)
     threshold = max(peak_threshold * novelty.mean(), floor)
-    cuts = [0]
-    for i in range(1, n):
-        if (
-            novelty[i] > threshold
-            and novelty[i] > novelty[i - 1]
-            and novelty[i] > novelty[i + 1]
-        ):
-            cuts.append(i)
-    cuts.append(n)
-    return np.array(cuts, dtype=int)
+    inner = novelty[1:-1]
+    peaks = (inner > threshold) & (inner > novelty[:-2]) & (inner > novelty[2:])
+    return np.r_[0, np.flatnonzero(peaks) + 1, n]
 
 
 def bars_to_seconds(indices, bars):

@@ -355,8 +355,9 @@ def solve(x, cfg, init=None):
         check_domain(x, None, cfg.beta)  # raises, naming the first bad index
 
     f = init_factors(x.shape, cfg) if init is None else _checked_copy(init, x.shape, cfg.core_dims)
-    plan = _Plan(x, cfg.beta)
-    loss = _mode1_terms(plan, f, cfg.beta, losses=True)  # also the next mode 1's products
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss raises below
+        plan = _Plan(x, cfg.beta)
+        loss = _mode1_terms(plan, f, cfg.beta, losses=True)  # also the next mode 1's products
     trace = LossTrace([loss])
     if not math.isfinite(loss):
         raise NumericalDomainError("non-finite loss at the starting point")

@@ -83,24 +83,21 @@ def build_tfb(spec, bars, frames_per_bar=96):
     hop = spec.hop_seconds
     span = spec.frames * hop
     tol = 1e-9 * max(span, 1.0)
-    out = np.empty((spec.bands, frames_per_bar, bars.bar_count))
+    t0, t1 = bars.boundaries[:-1], bars.boundaries[1:]
+    outside = (t0 < -tol) | (t1 > span + tol)
+    bad = np.flatnonzero(outside | (t1 - t0 < hop))
+    if bad.size:  # name the first failing bar; lying outside wins over being short
+        b = bad[0]
+        if outside[b]:
+            raise ValueError(f"bar {b} [{t0[b]}, {t1[b]}] lies outside the spectrogram "
+                             f"span [0, {span}]")
+        raise ValueError(f"bar {b} spans less than one hop")
     offsets = (np.arange(frames_per_bar) + 0.5) / frames_per_bar
-    for b in range(bars.bar_count):
-        t0, t1 = bars.boundaries[b], bars.boundaries[b + 1]
-        if t0 < -tol or t1 > span + tol:
-            raise ValueError(
-                f"bar {b} [{t0}, {t1}] lies outside the spectrogram span "
-                f"[0, {span}]"
-            )
-        if t1 - t0 < hop:
-            raise ValueError(f"bar {b} spans less than one hop")
-        positions = t0 + offsets * (t1 - t0)
-        # ceil(p - 0.5) rounds to nearest with ties toward the earlier
-        # frame; the slack absorbs float error in hop-aligned positions
-        idx = np.ceil(positions / hop - 0.5 - 1e-9).astype(int)
-        idx = np.clip(idx, 0, spec.frames - 1)
-        out[:, :, b] = spec.data[:, idx]
-    return out
+    positions = t0 + offsets[:, None] * (t1 - t0)  # (frames_per_bar, bars)
+    # ceil(p - 0.5) rounds to nearest with ties toward the earlier
+    # frame; the slack absorbs float error in hop-aligned positions
+    idx = np.clip(np.ceil(positions / hop - 0.5 - 1e-9).astype(int), 0, spec.frames - 1)
+    return spec.data.take(idx, axis=1)  # spec.data[:, idx], but C-ordered
 
 
 # ---------------------------------------------------------------------------

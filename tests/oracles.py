@@ -121,3 +121,34 @@ def optimal_hits(est, ref, tolerance):
         if augment(i, set()):
             hits += 1
     return hits
+
+
+def loop_build_tfb(data, boundaries, hop, frames_per_bar):
+    """The (feature, in-bar time, bar) tensor one bar at a time: each bar's
+    midpoint-spaced positions take their nearest frame, ties toward the
+    earlier one."""
+    offsets = (np.arange(frames_per_bar) + 0.5) / frames_per_bar
+    out = np.empty((data.shape[0], frames_per_bar, len(boundaries) - 1))
+    for b, (t0, t1) in enumerate(zip(boundaries[:-1], boundaries[1:])):
+        idx = np.ceil((t0 + offsets * (t1 - t0)) / hop - 0.5 - 1e-9).astype(int)
+        out[:, :, b] = data[:, np.clip(idx, 0, data.shape[1] - 1)]
+    return out
+
+
+def loop_segment_bars(sim, hw, peak_threshold):
+    """Boundary bars one window and one bar at a time: the clipped
+    checkerboard novelty, then each bar whose novelty is above the
+    threshold and above both neighbours."""
+    n = sim.shape[0]
+    signs = np.concatenate([-np.ones(hw), np.ones(hw)])
+    kernel = np.outer(signs, signs)
+    padded = np.pad(sim, hw, mode="edge")
+    novelty = [np.sum(padded[i : i + 2 * hw, i : i + 2 * hw] * kernel) for i in range(n + 1)]
+    novelty = np.clip(novelty, 0.0, None)
+    floor = 1e-8 * (2 * hw) ** 2 * np.max(np.abs(sim))
+    threshold = max(peak_threshold * novelty.mean(), floor)
+    cuts = [0]
+    for i in range(1, n):
+        if novelty[i] > threshold and novelty[i] > novelty[i - 1] and novelty[i] > novelty[i + 1]:
+            cuts.append(i)
+    return cuts + [n]

@@ -118,6 +118,16 @@ class TestDecompose:
         assert env["threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None}
         assert isinstance(env["cpu"], str) and env["cpu"]
 
+    def test_manifest_version_and_blas_threads(self, small_tensor, tmp_path):
+        out = tmp_path / "out"
+        rc = main(["decompose", str(small_tensor), "--core-dims", "2,2,2",
+                   "--max-iters", "1", "--out", str(out)])
+        assert rc == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["version"] == beta_ntd.__version__
+        threads = manifest["environment"]["blas_threads"]
+        assert threads is None or type(threads) is int and threads >= 1
+
     def test_max_iters_zero_equals_init(self, small_tensor, tmp_path):
         out = tmp_path / "out"
         rc = main([
@@ -604,12 +614,15 @@ class TestManifest:
 class TestModuleEntry:
     """``python -m beta_ntd.cli`` runs the same commands as ``main``."""
 
-    def run(self, *args, cwd):
+    def python(self, *args, cwd, **env):
         src = str(Path(beta_ntd.__file__).parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
-        return subprocess.run([sys.executable, "-m", "beta_ntd.cli", *args], cwd=cwd,
+        env = {**os.environ, "PYTHONPATH": path, **env}
+        return subprocess.run([sys.executable, *args], cwd=cwd,
                               env=env, capture_output=True, text=True)
+
+    def run(self, *args, cwd, **env):
+        return self.python("-m", "beta_ntd.cli", *args, cwd=cwd, **env)
 
     def test_domain_error_exit_code(self, tmp_path):
         # finite data whose loss overflows at the starting point
@@ -617,7 +630,22 @@ class TestModuleEntry:
         done = self.run("decompose", "huge.txt", "--beta", "2",
                         "--core-dims", "2,2,2", "--out", "o", cwd=tmp_path)
         assert done.returncode == EXIT_NUMERICAL, done.stderr
-        assert "error:" in done.stderr
+        assert done.stderr == "error: non-finite loss at the starting point\n"
+
+    def test_import_leaves_package_metadata_out(self, tmp_path):
+        code = "import sys, beta_ntd.cli; print('importlib.metadata' in sys.modules)"
+        done = self.python("-c", code, cwd=tmp_path)
+        assert done.stdout == "False\n", done.stderr
+
+    @pytest.mark.skipif(beta_ntd.cli._blas_threads() is None,
+                        reason="numpy's bundled OpenBLAS thread getter does not resolve")
+    def test_manifest_reads_blas_threads_in_use(self, tmp_path):
+        write_tensor(tmp_path / "x.txt", np.ones((3, 3, 3)))
+        done = self.run("decompose", "x.txt", "--core-dims", "2,2,2", "--max-iters", "1",
+                        "--out", "o", cwd=tmp_path, OPENBLAS_NUM_THREADS="1")
+        assert done.returncode == EXIT_OK, done.stderr
+        assert json.loads((tmp_path / "o" / "manifest.json").read_text())["environment"][
+            "blas_threads"] == 1
 
     def test_bench_writes_manifest(self, tmp_path):
         done = self.run("bench", "--dims", "4,4,4", "--core-dims", "2,2,2",

@@ -17,7 +17,7 @@ from beta_ntd.segmentation import (
 )
 from beta_ntd.tfb import BarGrid
 
-from oracles import optimal_hits
+from oracles import loop_segment_bars, optimal_hits
 
 
 class TestAutosimilarity:
@@ -88,6 +88,38 @@ class TestSegmentBars:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             segment_bars(np.ones((4, 5)))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_per_bar_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            n = int(rng.integers(2, 40))
+            q = np.repeat(rng.random((n // 3 + 1, 4)), 3, axis=0)[:n] + 0.3 * rng.random((n, 4))
+            sim = np.round(bar_autosimilarity(q), int(rng.integers(1, 4)))  # ties in the novelty
+            hw = int(rng.integers(1, n // 2 + 1))
+            threshold = float(rng.choice([0.0, 0.5, 1.0, 1.5]))
+            np.testing.assert_array_equal(segment_bars(sim, hw, threshold),
+                                          loop_segment_bars(sim, hw, threshold))
+
+    @staticmethod
+    def chain_sim(neighbour):
+        # unit diagonal: at half-width 1 the novelty at bar i is
+        # 2 - 2 * neighbour[i - 1], and 0 at both ends
+        return np.eye(len(neighbour) + 1) + np.diag(neighbour, 1) + np.diag(neighbour, -1)
+
+    def test_equal_neighbouring_maxima_give_no_cut(self):
+        # novelty 0, 0, 0, 2, 2, 0, 0: neither 2 is above both neighbours
+        sim = self.chain_sim([1.0, 1.0, 0.0, 0.0, 1.0])
+        np.testing.assert_array_equal(segment_bars(sim, kernel_half_width=1), [0, 6])
+        sim = self.chain_sim([1.0, 1.0, 0.0, 0.5, 1.0])
+        np.testing.assert_array_equal(segment_bars(sim, kernel_half_width=1), [0, 3, 6])
+
+    def test_novelty_at_the_threshold_gives_no_cut(self):
+        # novelty 0, 0, 0, 2, 0, 0, 0, 0 has mean 0.25, so a threshold factor of 8 is 2
+        sim = self.chain_sim([1.0, 1.0, 0.0, 1.0, 1.0, 1.0])
+        for factor, cuts in ((8.0, [0, 7]), (7.99, [0, 3, 7])):
+            np.testing.assert_array_equal(
+                segment_bars(sim, kernel_half_width=1, peak_threshold=factor), cuts)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_names_first_entry(self, bad):

@@ -1,5 +1,6 @@
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -239,6 +240,15 @@ class TestSolve:
         init = replace(init_factors(x.shape, cfg), **{name: part})
         with pytest.raises(ValueError, match=f"^init.{name}: {message}"):
             solve(x, cfg, init=init)
+
+    @pytest.mark.parametrize("beta", [2.0, 3.0])
+    def test_overflowing_start_raises_without_a_warning(self, beta):
+        # finite data whose starting loss overflows: the error, not numpy's warning
+        x = np.full((3, 3, 3), 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalDomainError, match="^non-finite loss at the starting point$"):
+                solve(x, SolverConfig(beta=beta, core_dims=(2, 2, 2)))
 
     def test_rejects_negative_data(self):
         x = -np.ones((2, 2, 2))

@@ -13,6 +13,8 @@ from beta_ntd.tfb import (
     write_spectrogram,
 )
 
+from oracles import loop_build_tfb
+
 
 class TestNnlms:
     def test_analytic_points(self):
@@ -73,6 +75,27 @@ class TestBuildTfb:
         spec = Spectrogram(np.ones((2, 10)), 0.1)
         with pytest.raises(ValueError, match="bar 1"):
             build_tfb(spec, BarGrid([0.0, 0.5, 50.0]), 4)
+
+    def test_first_failing_bar_is_named(self):
+        spec = Spectrogram(np.ones((2, 10)), 0.1)  # spans [0, 1.0]
+        # bar 1 is shorter than a hop, bar 3 lies outside
+        with pytest.raises(ValueError, match=r"^bar 1 spans less than one hop$"):
+            build_tfb(spec, BarGrid([0.0, 0.3, 0.35, 0.6, 5.0]), 4)
+        # bar 2 is both: lying outside wins
+        with pytest.raises(ValueError, match=r"^bar 2 \[1\.0, 1\.05\] lies outside the "
+                                             r"spectrogram span \[0, 1\.0\]$"):
+            build_tfb(spec, BarGrid([0.0, 0.5, 1.0, 1.05]), 4)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_per_bar_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        hop = float(rng.choice([0.01, 0.023, 1 / 3]))
+        spec = Spectrogram(rng.random((3, 400)), hop)
+        bars = BarGrid(np.cumsum(rng.uniform(hop, 40 * hop, 9)))
+        fpb = int(rng.integers(1, 20))
+        t = build_tfb(spec, bars, fpb)
+        assert t.flags.c_contiguous
+        np.testing.assert_array_equal(t, loop_build_tfb(spec.data, bars.boundaries, hop, fpb))
 
     def test_frames_per_bar_must_be_whole(self):
         spec = Spectrogram(np.arange(20.0).reshape(2, 10), 0.1)
