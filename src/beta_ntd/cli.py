@@ -203,19 +203,11 @@ def cmd_pipeline(args, out_dir):
 def cmd_eval(args, out_dir):
     est = seg.read_boundaries(args.est)
     ref = seg.read_boundaries(args.ref)
-    # every tolerance is scored, and so checked, before any report is written
     reports = [
         seg.evaluate_boundaries(est, ref, t, exclude_endpoints=not args.include_endpoints)
         for t in _parse_list(args.tolerances, "--tolerances")
     ]
-    names = [f"report_{r.tolerance:g}" for r in reports]  # six significant digits
-    for i, name in enumerate(names):
-        if name in names[:i]:
-            raise ValueError(f"--tolerances {reports[names.index(name)].tolerance!r} and "
-                             f"{reports[i].tolerance!r} both name {name}")
-    for name, report in zip(names, reports):
-        seg.write_report(out_dir / f"{name}.txt", out_dir / f"{name}.json", report)
-    return None, {"reports": {f"{r.tolerance:g}": r.as_dict() for r in reports}}
+    return None, {"reports": [asdict(r) for r in reports]}
 
 
 def cmd_bench(args, out_dir):
@@ -238,8 +230,6 @@ def cmd_bench(args, out_dir):
             "min_seconds": float(np.min(times)),
             "iterations": len(times),
         })
-    keys = list(rows[0])
-    write_rows(out_dir / "bench.txt", " ".join(keys), np.array([[r[k] for k in keys] for r in rows]))
     # at rel_tol 0 a solve stops early only on a rise in the loss
     stop = "budget" if all(r["iterations"] == args.iters for r in rows) else "loss-increase"
     return cfgs[0], {"warmup_iters": warmup_iters, "results": rows, "stop_reason": stop}

@@ -8,9 +8,8 @@ reference boundaries one-to-one, closest pair first, within a tolerance
 in seconds, and reports precision / recall / F-measure.
 """
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,9 +38,6 @@ class EvalReport:
     est_count: int
     ref_count: int
     empty_warning: bool = False
-
-    def as_dict(self):
-        return asdict(self)
 
 
 def bar_autosimilarity(q):
@@ -172,14 +168,3 @@ def read_boundaries(path):
 
 def write_boundaries(path, bset):
     textio.write_rows(path, None, bset.times[:, None])
-
-
-def write_report(txt_path, json_path, report):
-    """Emit a report both as a flat key-value text record and as JSON."""
-    d = report.as_dict()
-    with open(txt_path, "w") as fh:
-        for key, value in d.items():
-            fh.write(f"{key} {value}\n")
-    with open(json_path, "w") as fh:
-        json.dump(d, fh, indent=2)
-        fh.write("\n")

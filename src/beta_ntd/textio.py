@@ -8,11 +8,13 @@ every row holds the same count of values and blank lines are skipped.
 Time files (bar grids, boundary sets) hold one finite time in seconds
 per line. Both kinds of file parse their numbers with one `np.loadtxt`
 helper, so a time file accepts exactly the numbers an array file does:
-no digit separators (``1_5``) and no non-ASCII digits.
+no digit separators (``1_5``) and no non-ASCII digits. Files are read
+as UTF-8 whatever the locale; a byte that does not decode is a ParseError.
 Values are written with 17 significant digits, so every float64 reads
 back exactly.
 """
 
+import contextlib
 import math
 import warnings
 
@@ -27,6 +29,17 @@ def _floats(lines):
     return np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=1)
 
 
+@contextlib.contextmanager
+def _open_text(path):
+    """`path` opened for reading as UTF-8; a byte that does not decode,
+    wherever it lies, is a ParseError that names the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def read_array(path, magic, ndim, usage, extra=0):
     """
     Read an array file whose header is the words `magic`, `ndim` positive
@@ -39,7 +52,7 @@ def read_array(path, magic, ndim, usage, extra=0):
     (ndarray of the header's shape, list of the extra header fields)
     """
     n = len(magic)
-    with open(path) as fh:
+    with _open_text(path) as fh:
         parts = fh.readline().split()
         if len(parts) != n + ndim + extra or tuple(parts[:n]) != magic:
             raise ParseError(f"{path}:1: expected header '{usage}'")
@@ -54,6 +67,8 @@ def read_array(path, magic, ndim, usage, extra=0):
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             try:
                 data = _floats(fh)
+            except UnicodeDecodeError:
+                raise  # named by _open_text
             except ValueError as exc:
                 raise ParseError(f"{path}: malformed numeric data: {exc}") from None
     size = math.prod(dims)
@@ -95,7 +110,7 @@ def read_times(path):
     """Read one finite time in seconds per line, strictly increasing, at
     least two; blank lines are skipped."""
     times = []
-    with open(path) as fh:
+    with _open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

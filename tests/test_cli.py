@@ -403,15 +403,20 @@ class TestEval:
     def write_bounds(self, path, times):
         path.write_text("".join(f"{t}\n" for t in times))
 
+    def reports(self, out):
+        """The manifest's reports, once the manifest is known to be the only output."""
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        return json.loads((out / "manifest.json").read_text())["reports"]
+
     def test_identical_files_f1(self, tmp_path):
         est = tmp_path / "est.txt"
         self.write_bounds(est, [0.0, 10.0, 20.0, 30.0])
         out = tmp_path / "out"
         rc = main(["eval", str(est), str(est), "--out", str(out)])
         assert rc == EXIT_OK
-        for tol in ("0.5", "3"):
-            rep = json.loads((out / f"report_{tol}.json").read_text())
-            assert rep["f_measure"] == 1.0
+        reports = self.reports(out)
+        assert [rep["tolerance"] for rep in reports] == [0.5, 3.0]
+        assert [rep["f_measure"] for rep in reports] == [1.0, 1.0]
 
     def test_hand_worked_pair(self, tmp_path):
         est = tmp_path / "est.txt"
@@ -421,10 +426,12 @@ class TestEval:
         out = tmp_path / "out"
         rc = main(["eval", str(est), str(ref), "--out", str(out)])
         assert rc == EXIT_OK
-        for tol in ("0.5", "3"):
-            rep = json.loads((out / f"report_{tol}.json").read_text())
-            assert rep["hits"] == 1
-            assert rep["f_measure"] == 0.5
+        reports = self.reports(out)
+        # every EvalReport field, in order
+        assert [list(rep.items()) for rep in reports] == [[
+            ("precision", 0.5), ("recall", 0.5), ("f_measure", 0.5), ("tolerance", tol),
+            ("hits", 1), ("est_count", 2), ("ref_count", 2), ("empty_warning", False),
+        ] for tol in (0.5, 3.0)]
 
     def test_empty_est_warns(self, tmp_path):
         est = tmp_path / "est.txt"
@@ -434,7 +441,8 @@ class TestEval:
         out = tmp_path / "out"
         rc = main(["eval", str(est), str(ref), "--out", str(out)])
         assert rc == EXIT_OK
-        rep = json.loads((out / "report_0.5.json").read_text())
+        rep = self.reports(out)[0]
+        assert rep["tolerance"] == 0.5
         assert rep["precision"] == 0.0
         assert rep["empty_warning"] is True
 
@@ -449,19 +457,18 @@ class TestEval:
         assert "tolerance must be finite and positive" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("tolerances, message", [
-        ("0.5,0.5000001", "0.5 and 0.5000001 both name report_0.5"),
-        ("3,0.5,3.0", "3.0 and 3.0 both name report_3"),
+    @pytest.mark.parametrize("tolerances, expected", [
+        ("0.5,0.5000001", [0.5, 0.5000001]),
+        ("3,0.5,3.0", [3.0, 0.5, 3.0]),
     ])
-    def test_colliding_report_names_write_nothing(self, tmp_path, capsys, tolerances, message):
-        # reports are named by the tolerance to six digits: one would overwrite another
+    def test_one_report_per_tolerance_as_given(self, tmp_path, tolerances, expected):
+        # tolerances equal to six digits, or equal, each keep their own report
         est = tmp_path / "est.txt"
         self.write_bounds(est, [0.0, 10.0, 20.0, 30.0])
         out = tmp_path / "out"
         rc = main(["eval", str(est), str(est), "--tolerances", tolerances, "--out", str(out)])
-        assert rc == EXIT_ARGUMENT
-        assert message in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert rc == EXIT_OK
+        assert [rep["tolerance"] for rep in self.reports(out)] == expected
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_time_exit_code(self, tmp_path, capsys, bad):
@@ -498,23 +505,20 @@ class TestBench:
             "--betas", "0", "--iters", "3", "--out", str(out),
         ])
         assert rc == EXIT_OK
-        lines = (out / "bench.txt").read_text().splitlines()
-        assert len(lines) == 2
-        mean_s = float(lines[1].split()[1])
-        assert mean_s > 0
-        # untimed iterations for BENCH_WARMUP_SECONDS come first
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
         manifest = json.loads((out / "manifest.json").read_text())
+        (row,) = manifest["results"]
+        assert list(row) == ["beta", "mean_seconds", "min_seconds", "iterations"]
+        assert row["beta"] == 0.0
+        assert row["mean_seconds"] >= row["min_seconds"] > 0
+        # untimed iterations for BENCH_WARMUP_SECONDS come first
         assert manifest["warmup_iters"] >= 1
         # every row is timed by solve, over the whole budget
-        assert lines[0].split() == ["beta", "mean_seconds", "min_seconds", "iterations"]
-        assert [int(line.split()[3]) for line in lines[1:]] == [3]
-        assert [row["iterations"] for row in manifest["results"]] == [3]
+        assert row["iterations"] == 3
         assert manifest["stop_reason"] == "budget"
         cfg = SolverConfig(beta=0.0, core_dims=(3, 3, 3), max_iters=3, rel_tol=0.0)
         assert manifest["config"] == as_json(cfg)
         assert manifest["config"]["loss_eval_period"] == 1
-        row = manifest["results"][0]
-        assert lines[1] == " ".join(f"{row[k]:.17g}" for k in lines[0].split())
 
     def test_warmup_takes_short_solves(self, tmp_path, monkeypatch):
         # a warm-up of whole --iters solves would run at least 400 iterations
@@ -533,7 +537,45 @@ class TestBench:
                    "--out", str(out)])
         assert rc == EXIT_ARGUMENT
         assert "--iters must be >= 1, got 0" in capsys.readouterr().err
-        assert not (out / "bench.txt").exists()
+        assert list(out.iterdir()) == []
+
+
+class TestNonUtf8Input:
+    """A byte that is not UTF-8, wherever it lies in an input file, is a
+    parse error that names the file."""
+
+    def check(self, argv, path, at, tmp_path, capsys):
+        data = bytearray(path.read_bytes())
+        data[at] = 0xFF  # starts no UTF-8 character
+        path.write_bytes(bytes(data))
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
+        assert list(out.iterdir()) == []
+
+    # text is decoded 8 KB at a time: a byte in the first chunk fails in the
+    # header read, one in a later chunk inside np.loadtxt
+    @pytest.mark.parametrize("at", [15, -10], ids=["first-chunk", "past-8kb"])
+    def test_tensor(self, tmp_path, capsys, at):
+        path = tmp_path / "x.txt"
+        write_tensor(path, np.random.default_rng(0).uniform(0.1, 1.0, (10, 10, 10)))
+        assert path.stat().st_size > 2 * 8192
+        self.check(["decompose", str(path)], path, at, tmp_path, capsys)
+
+    def test_init_matrix(self, small_tensor, init_dir, tmp_path, capsys):
+        argv = ["decompose", str(small_tensor), "--core-dims", "2,2,2", "--init", str(init_dir)]
+        self.check(argv, init_dir / "factor_h.txt", 20, tmp_path, capsys)
+
+    @pytest.mark.parametrize("name, at", [("spec.txt", 30), ("bars.txt", 2)])
+    def test_pipeline_inputs(self, tmp_path, capsys, name, at):
+        spec_path, bars_path = synthetic_song(tmp_path)
+        argv = ["pipeline", str(spec_path), str(bars_path)]
+        self.check(argv, tmp_path / name, at, tmp_path, capsys)
+
+    def test_boundaries(self, tmp_path, capsys):
+        est = tmp_path / "est.txt"
+        est.write_text("0.0\n10.0\n20.0\n")
+        self.check(["eval", str(est), str(est)], est, 5, tmp_path, capsys)
 
 
 def short_run(command, tmp_path):

@@ -1,19 +1,15 @@
-import json
-
 import numpy as np
 import pytest
 
 from beta_ntd.errors import ParseError
 from beta_ntd.segmentation import (
     BoundarySet,
-    EvalReport,
     bar_autosimilarity,
     bars_to_seconds,
     evaluate_boundaries,
     read_boundaries,
     segment_bars,
     write_boundaries,
-    write_report,
 )
 from beta_ntd.tfb import BarGrid
 
@@ -280,28 +276,3 @@ class TestFiles:
         path = tmp_path / "b.txt"
         path.write_text("0.0\n1e1\n 2.5E+1 \n")
         assert read_boundaries(path).times.tolist() == [0.0, 10.0, 25.0]
-
-    def test_report_files(self, tmp_path):
-        est = BoundarySet([0.0, 10.0, 20.0, 30.0])
-        rep = evaluate_boundaries(est, est, 0.5)
-        txt, js = tmp_path / "r.txt", tmp_path / "r.json"
-        write_report(txt, js, rep)
-        loaded = json.loads(js.read_text())
-        assert loaded["f_measure"] == 1.0
-        assert loaded["tolerance"] == 0.5
-        assert "precision 1.0" in txt.read_text()
-
-    def test_report_bytes(self, tmp_path):
-        rep = EvalReport(precision=0.5, recall=1.0, f_measure=2 / 3, tolerance=0.5,
-                         hits=1, est_count=2, ref_count=1)
-        txt, js = tmp_path / "r.txt", tmp_path / "r.json"
-        write_report(txt, js, rep)
-        assert txt.read_text() == (
-            "precision 0.5\nrecall 1.0\nf_measure 0.6666666666666666\ntolerance 0.5\n"
-            "hits 1\nest_count 2\nref_count 1\nempty_warning False\n"
-        )
-        assert js.read_text() == (
-            '{\n  "precision": 0.5,\n  "recall": 1.0,\n  "f_measure": 0.6666666666666666,\n'
-            '  "tolerance": 0.5,\n  "hits": 1,\n  "est_count": 2,\n  "ref_count": 1,\n'
-            '  "empty_warning": false\n}\n'
-        )
