@@ -101,15 +101,15 @@ def unchecked_objective(x, approx, beta, out=None, x_term=None, ratio_in_out=Fal
     r = np.empty(np.shape(x)) if out is None else out
     if beta == 0.0:
         np.divide(x, approx, out=r)
-        total = np.sum(r)
-        return float(total - np.sum(np.log(r, out=r)) - x.size)
+        total = np.add.reduce(r, axis=None)
+        return float(total - np.add.reduce(np.log(r, out=r), axis=None) - x.size)
     x_term = data_term(x, beta, r) if x_term is None else x_term
     if beta == 1.0:
         # 0 * log(0) = 0: zero entries enter the logarithm as the smallest
         # normal float, which their zero weight cancels
         if not ratio_in_out:
             np.divide(np.maximum(x, _TINY, out=r), approx, out=r)
-        return float(np.vdot(x, np.log(r, out=r)) + np.sum(approx) - x_term)
+        return float(np.vdot(x, np.log(r, out=r)) + np.add.reduce(approx, axis=None) - x_term)
     power = approx if beta == 2.0 else np.power(approx, beta - 1.0, out=r)
     return float(
         (x_term + (beta - 1.0) * np.vdot(power, approx) - beta * np.vdot(x, power))

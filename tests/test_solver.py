@@ -500,6 +500,48 @@ class TestSlabs:
             np.testing.assert_array_equal(ours, public)
 
     @pytest.mark.parametrize("beta", BETAS)
+    def test_one_slice_per_slab(self, beta, monkeypatch):
+        # 17 slabs: every share after the first is added into the first, and
+        # each of mode 1's fills its own row, so a share that is dropped,
+        # added twice or placed in the wrong rows shows
+        monkeypatch.setattr(beta_ntd.solver, "_SLAB_ENTRIES", 12)
+        x, init, cfg = _instance((17, 3, 4), (3, 2, 2), beta, seed=38)
+        assert [len(x[r]) for r, _ in beta_ntd.solver._slabs(x.shape, 12)] == [1] * 17
+        for mode in (1, 2, 3):
+            oracle = kron_update_factor(x, init, mode, beta, cfg.epsilon)
+            np.testing.assert_allclose(update_mode_factor(x, init, mode, cfg), oracle, rtol=1e-12, atol=0)
+        oracle = kron_update_core(x, init, beta, cfg.epsilon)
+        np.testing.assert_allclose(update_core(x, init, cfg), oracle, rtol=1e-12, atol=0)
+        cfg = replace(cfg, max_iters=5, rel_tol=0.0)
+        f, trace = solve(x, cfg, init=init)
+        g = init
+        for _ in range(cfg.max_iters):
+            g = iterate(x, g, cfg)
+        for ours, public in zip((f.w, f.h, f.q, f.core), (g.w, g.h, g.q, g.core)):
+            np.testing.assert_array_equal(ours, public)
+        assert trace.losses[-1] == pytest.approx(objective(x, f.approximation(), beta), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_passes_leave_the_kept_products_unchanged(self, beta):
+        # each pass below reads what the loss pass at f kept: mode 1's
+        # products, H x_2 G, the mode-3 basis, Q^T and (beta=2) X Q; a share
+        # that returned a view of one of them would have the fold add into it
+        x, f, cfg = _instance((7, 3, 4), (3, 2, 2), beta, seed=39)
+        plan = beta_ntd.solver._Plan(x, beta)
+        beta_ntd.solver._mode1_terms(plan, f, beta, losses=True)
+
+        def kept():
+            return [a for a in (*plan.slot[1:], *plan.bases, *plan.at_q, plan.x3) if a is not None]
+
+        assert (plan.at_q[2] is not None) == (beta == 2.0)
+        made, before = kept(), [a.tobytes() for a in kept()]
+        for mode in (1, 2, 3):
+            update_mode_factor(x, f, mode, cfg, plan)
+        update_core(x, f, cfg, plan)
+        assert all(a is b for a, b in zip(kept(), made, strict=True))  # read, not made again
+        assert [a.tobytes() for a in made] == before
+
+    @pytest.mark.parametrize("beta", BETAS)
     def test_last_loss_matches_public_objective(self, beta):
         x, init, cfg = _instance((7, 3, 4), (3, 2, 2), beta, seed=30)
         f, trace = solve(x, replace(cfg, max_iters=4, rel_tol=0.0), init=init)
