@@ -4,7 +4,9 @@ Each update works on a C-order view of the tensor, so an iteration is a
 few matrix products plus one elementwise pass over the tensor per update.
 The times are the ones `solve` records around each iteration of its own
 loop, the loss evaluation that follows it included, as `beta-ntd bench`
-reports them; rel_tol 0 keeps every iteration."""
+reports them; rel_tol 0 keeps every iteration. This script times with the
+process's own BLAS thread count, where `bench` pins numpy's OpenBLAS to
+one thread."""
 
 import numpy as np
 

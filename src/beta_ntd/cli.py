@@ -36,11 +36,6 @@ EXIT_ARGUMENT = 2
 EXIT_PARSE = 3
 EXIT_NUMERICAL = 4
 
-# bench solves untimed for this long first: after a quiet spell the first
-# large multi-threaded BLAS products can run about 10x slow for about a second
-BENCH_WARMUP_SECONDS = 1.5
-
-
 def _parse_list(text, flag, dims=False):
     """The numbers of `flag`'s comma-separated list `text`, or with `dims`
     its three integers >= 1; a ValueError names `flag`."""
@@ -74,16 +69,21 @@ def _add_solver_flags(p, names=SOLVER_FLAGS):
             p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
 
 
-def _blas_threads():
-    """The thread count of numpy's bundled OpenBLAS, or None where that
-    library or its getter is missing."""
+def _openblas(symbol, restype, *argtypes):
+    """C function `symbol` of numpy's bundled OpenBLAS, typed; None where missing."""
     try:
         lib = next((Path(np.__file__).parents[1] / "numpy.libs").glob("*openblas*"))
-        getter = ctypes.CDLL(str(lib)).scipy_openblas_get_num_threads64_
+        fn = getattr(ctypes.CDLL(str(lib)), symbol)
     except (StopIteration, OSError, AttributeError):
         return None
-    getter.argtypes, getter.restype = [], ctypes.c_int
-    return getter()
+    fn.restype, fn.argtypes = restype, argtypes
+    return fn
+
+
+def _blas_threads():
+    """The thread count of numpy's bundled OpenBLAS, or None where its getter is missing."""
+    getter = _openblas("scipy_openblas_get_num_threads64_", ctypes.c_int)
+    return None if getter is None else getter()
 
 
 def _environment():
@@ -217,22 +217,21 @@ def cmd_bench(args, out_dir):
     base = _solver_config(args, max_iters=args.iters, rel_tol=0.0)  # checks --seed
     cfgs = [replace(base, beta=beta) for beta in _parse_list(args.betas, "--betas")]
     x = np.random.default_rng(base.seed).uniform(0.1, 1.0, dims)
-    # one-iteration solves, so the warm-up overruns its time by one short solve
-    warmup_iters, deadline = 0, time.perf_counter() + BENCH_WARMUP_SECONDS
-    while time.perf_counter() < deadline:
-        warmup_iters += len(solve(x, replace(cfgs[0], max_iters=1))[1].iter_times)
-    rows = []
-    for cfg in cfgs:  # the times solve records around each of its iterations
-        times = solve(x, cfg)[1].iter_times
-        rows.append({
-            "beta": cfg.beta,
-            "mean_seconds": float(np.mean(times)),
-            "min_seconds": float(np.min(times)),
-            "iterations": len(times),
-        })
+    # timed on one BLAS thread: on two, a large iteration's cost depends on what ran before
+    threads = _blas_threads()
+    pin = _openblas("scipy_openblas_set_num_threads64_", None, ctypes.c_int) or (lambda n: None)
+    try:
+        pin(1)
+        timed_threads, rows = _blas_threads(), []
+        for cfg in cfgs:  # the times solve records around each of its iterations
+            t = solve(x, cfg)[1].iter_times
+            rows.append({"beta": cfg.beta, "mean_seconds": float(np.mean(t)),
+                         "min_seconds": float(np.min(t)), "iterations": len(t)})
+    finally:
+        pin(threads)
     # at rel_tol 0 a solve stops early only on a rise in the loss
     stop = "budget" if all(r["iterations"] == args.iters for r in rows) else "loss-increase"
-    return cfgs[0], {"warmup_iters": warmup_iters, "results": rows, "stop_reason": stop}
+    return cfgs[0], {"timed_blas_threads": timed_threads, "results": rows, "stop_reason": stop}
 
 
 def build_parser():
@@ -298,7 +297,7 @@ def main(argv=None):
     except NumericalDomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ARGUMENT
 

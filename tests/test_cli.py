@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import json
 import os
@@ -18,9 +19,13 @@ from beta_ntd.cli import (
     build_parser,
     main,
 )
+from beta_ntd.errors import NumericalDomainError
 from beta_ntd.solver import SolverConfig, init_factors, solve
 from beta_ntd.tensor_ops import read_matrix, read_tensor, write_matrix, write_tensor
 from beta_ntd.tfb import BarGrid, Spectrogram, write_bars, write_spectrogram
+
+
+SET_THREADS = beta_ntd.cli._openblas("scipy_openblas_set_num_threads64_", None, ctypes.c_int)
 
 
 def as_json(cfg):
@@ -499,6 +504,7 @@ class TestEval:
 
 class TestBench:
     def test_bench_without_naive(self, tmp_path):
+        threads = beta_ntd.cli._blas_threads()
         out = tmp_path / "out"
         rc = main([
             "bench", "--dims", "10,10,10", "--core-dims", "3,3,3",
@@ -511,8 +517,9 @@ class TestBench:
         assert list(row) == ["beta", "mean_seconds", "min_seconds", "iterations"]
         assert row["beta"] == 0.0
         assert row["mean_seconds"] >= row["min_seconds"] > 0
-        # untimed iterations for BENCH_WARMUP_SECONDS come first
-        assert manifest["warmup_iters"] >= 1
+        # timed on one BLAS thread where the setter resolves, and the count is restored
+        assert manifest["timed_blas_threads"] == (1 if SET_THREADS else threads)
+        assert beta_ntd.cli._blas_threads() == threads
         # every row is timed by solve, over the whole budget
         assert row["iterations"] == 3
         assert manifest["stop_reason"] == "budget"
@@ -520,16 +527,50 @@ class TestBench:
         assert manifest["config"] == as_json(cfg)
         assert manifest["config"]["loss_eval_period"] == 1
 
-    def test_warmup_takes_short_solves(self, tmp_path, monkeypatch):
-        # a warm-up of whole --iters solves would run at least 400 iterations
-        monkeypatch.setattr(beta_ntd.cli, "BENCH_WARMUP_SECONDS", 0.02)
+    @pytest.fixture
+    def two_threads(self):
+        """The process's BLAS thread count set to 2 for the test, then put back."""
+        threads = beta_ntd.cli._blas_threads()
+        SET_THREADS(2)
+        yield beta_ntd.cli._blas_threads()
+        SET_THREADS(threads)
+
+    @pytest.mark.skipif(SET_THREADS is None or beta_ntd.cli._blas_threads() is None,
+                        reason="numpy's bundled OpenBLAS thread setter does not resolve")
+    @pytest.mark.parametrize("raises", [False, True], ids=["solves", "solve-raises"])
+    def test_solves_on_one_thread_and_restores_the_count(self, tmp_path, monkeypatch,
+                                                         two_threads, raises):
+        seen = []
+
+        def counting_solve(x, cfg):
+            seen.append(beta_ntd.cli._blas_threads())
+            if raises:
+                raise NumericalDomainError("non-finite loss at the starting point")
+            return solve(x, cfg)
+
+        monkeypatch.setattr(beta_ntd.cli, "solve", counting_solve)
         out = tmp_path / "out"
-        rc = main(["bench", "--dims", "10,10,10", "--core-dims", "4,4,4", "--iters", "400",
-                   "--out", str(out)])
-        assert rc == EXIT_OK
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert 1 <= manifest["warmup_iters"] < 400
-        assert manifest["results"][0]["iterations"] == 400
+        rc = main(["bench", "--dims", "6,5,4", "--core-dims", "2,2,2", "--betas", "0,1",
+                   "--iters", "2", "--out", str(out)])
+        assert beta_ntd.cli._blas_threads() == two_threads
+        if raises:
+            assert (rc, seen) == (EXIT_NUMERICAL, [1])
+            assert list(out.iterdir()) == []
+        else:
+            assert (rc, seen) == (EXIT_OK, [1, 1])
+            assert json.loads((out / "manifest.json").read_text())["timed_blas_threads"] == 1
+
+    def test_refused_allocation_exits_2(self, tmp_path, capsys):
+        # 196 TiB is more than the x86-64 user address space, so no page is touched
+        threads = beta_ntd.cli._blas_threads()
+        out = tmp_path / "out"
+        rc = main(["bench", "--dims", "30000,30000,30000", "--core-dims", "2,2,2",
+                   "--iters", "1", "--out", str(out)])
+        assert rc == EXIT_ARGUMENT
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate 196. TiB")
+        assert list(out.iterdir()) == []
+        assert beta_ntd.cli._blas_threads() == threads
 
     def test_zero_iters_rejected(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -623,10 +664,6 @@ def test_solver_flag_errors_name_the_field(tmp_path, capsys, command, flag, valu
 
 
 class TestManifest:
-    @pytest.fixture(autouse=True)
-    def short_warmup(self, monkeypatch):
-        monkeypatch.setattr(beta_ntd.cli, "BENCH_WARMUP_SECONDS", 0.01)
-
     @pytest.mark.parametrize("command", ["decompose", "pipeline", "eval", "bench"])
     def test_args_are_the_parsed_arguments(self, tmp_path, command):
         out = tmp_path / "out"
