@@ -9,18 +9,20 @@ elementwise maximum against a small constant so entries never reach zero.
 Products work on the C-order view ``X.reshape(J*K, L)`` of the data X
 (J x K x L), modelled by the mode-3 basis W (H G) times Q^T. Updates and
 losses stream the view in slabs of whole mode-1 slices that stay in L2
-cache with their model and MU terms, contracted per slab to factor size:
-nothing of the data's size is made. `solve` plans the slabs once, with one
-model and one scratch buffer that every slab reuses; at beta other than 1
-and 2 each slab's two MU terms are contracted together, stacked. Each slab's
-share of a product is added in place into the first slab's, in slab order;
-mode 1's shares are disjoint blocks of rows, written into the result. At beta=2
-the denominators are in Gram form and only the loss builds a model. The plan
-keeps each product that more than one pass reads, with the factors it was
-made from: mode 1's products, H x_2 G, the mode-3 basis, Q^T and, at beta=2,
-X Q. So each is made once per new factor. `solve` checks the data's
-domain once, from its minimum and maximum, and at beta <= 1 raises it to
-epsilon, a normal float, copying it only when that changes an entry.
+cache with their model and MU terms. `solve` plans the slabs once, with
+one model and one scratch buffer that every slab reuses; at beta other
+than 1 and 2 each slab's two MU terms are stacked and go through each
+product together. Each slab writes its terms times Q into its rows of one
+(J*K) x L' buffer of the plan (two, stacked, at beta other than 1 and 2),
+which modes 1 and 2 and the core then contract whole, in one batched GEMM
+each; mode 3, whose products need the terms themselves, adds each slab's
+share into the first's, in slab order. At beta=2 the denominators are in
+Gram form and only the loss builds a model. The plan keeps each product
+that more than one pass reads, with the factors it was made from: mode 1's
+products, H x_2 G, the mode-3 basis, Q^T and, at beta=2, the buffer, which
+is then X Q. So each is made once per new factor. `solve` checks the
+data's domain once, from its minimum and maximum, and at beta <= 1 raises
+it to epsilon, a normal float, copying it only when that changes an entry.
 """
 
 import math
@@ -160,9 +162,10 @@ class _Plan:
     """Per slab of data `x`: its mode-1 range, rows of ``x.reshape(J*K, L)``,
     their view, (given `beta`) data term, and its model and scratch views,
     apart and stacked, into one buffer pair of the first (largest) slab's
-    size. Also what one pass hands to the next, each with the factors it was
-    made from: the slot of :func:`_mode1_terms` (or None), :func:`_basis`'s
-    and :func:`_pass`'s."""
+    size. Also :func:`_pass`'s T Q buffer `tq`, made once per shape, and
+    what one pass hands to the next, each with the factors it was made
+    from: the slot of :func:`_mode1_terms` (or None), :func:`_basis`'s and
+    :func:`_pass`'s. A plan serves one beta."""
 
     def __init__(self, x, beta=None):
         self.x3 = x3 = x.reshape(-1, x.shape[2])
@@ -170,7 +173,7 @@ class _Plan:
         pair = np.empty((2,) + cuts[0][2].shape)
         self.slabs = [(r, rows, xs, None if beta is None else data_term(x[r], beta),
                        *pair[:, :len(xs)], pair[:, :len(xs)]) for r, rows, xs in cuts]
-        self.slot, self.bases, self.at_q = None, [None] * 5, [None] * 3
+        self.slot, self.bases, self.at_q, self.tq = None, [None] * 5, [None] * 3, np.empty(0)
 
 
 def _basis(plan, f, whole=True):
@@ -184,27 +187,32 @@ def _basis(plan, f, whole=True):
     return made[4] if whole else made[2]
 
 
-def _pass(plan, f, beta, share, losses=False, by_q=True):
+def _pass(plan, f, beta, losses=False, v=None):
     """Stream the data in the plan's slabs. Per slab: its model from the
     mode-3 basis (at beta=2 only for the loss), its loss if `losses`, and
-    ``share(t, r, rows)`` of its MU terms t, contracted with Q first if
-    `by_q`: n alone at beta 1 and 2, where d is all ones or the model, else
-    n and d stacked. The shares are summed in slab order, in place into the
-    first, which must be a fresh array; a share that returns the first share
-    again has filled it itself (mode 1's, a block of rows per slab). Return
-    n's and d's totals (d's None at beta 1 and 2) and the loss or None."""
+    its MU terms t: n alone at beta 1 and 2, where d is all ones or the
+    model, else n and d stacked. Given the mode-3 basis `v`, return the sum
+    of ``t^T v[rows]`` over the slabs, added in place in slab order; else
+    return T Q, each slab's ``t Q`` written into its rows of the plan's
+    buffer `tq`. At beta=2 T Q is X Q, kept per Q, so a pass without the
+    loss at a Q that has it reads no data. Also return the loss or None."""
     if plan.at_q[0] is not f.q:  # Q, Q^T and X Q (made by a beta=2 pass), once per Q
         plan.at_q = [f.q, np.ascontiguousarray(f.q.T), None]
     at_q = plan.at_q
-    v = None if beta == 2.0 and not losses else _basis(plan, f)  # at beta=2 the MU terms are the data
-    xq = at_q[2] if beta == 2.0 and by_q else None
-    if fill := beta == 2.0 and by_q and xq is None:
-        xq = np.empty((len(plan.x3), f.q.shape[1]))
+    made = beta == 2.0 and v is None and at_q[2] is not None
+    if made and not losses:
+        return at_q[2], None
+    jk, lc = len(plan.x3), f.q.shape[1]
+    shape = (jk, lc) if beta in (1.0, 2.0) else (2, jk, lc)
+    if plan.tq.shape != shape:  # once per plan and shape
+        plan.tq = np.empty(shape)
+    tq = plan.tq
+    basis = None if beta == 2.0 and not losses else _basis(plan, f)  # at beta=2 the MU terms are the data
     shared = losses and beta == 1.0  # the loss reads mode 1's x/m
     nd, loss = None, 0.0 if losses else None
     for r, rows, xs, x_term, m, s, ms in plan.slabs:
-        if v is not None:
-            np.matmul(v[rows], at_q[1], out=m)
+        if basis is not None:
+            np.matmul(basis[rows], at_q[1], out=m)
         if losses and not shared:
             loss += objective(xs, m, beta, s, x_term)
         # n and d are made in place in m and s
@@ -223,16 +231,16 @@ def _pass(plan, f, beta, share, losses=False, by_q=True):
             np.multiply(m, s, out=m)
             np.multiply(s, xs, out=s)
             t = ms[::-1]  # n in s, d in m
-        if by_q:
-            t = t @ f.q if xq is None else np.matmul(t, f.q, out=xq[rows]) if fill else xq[rows]
-        part = share(t, r, rows)
-        nd = part if nd is None or part is nd else np.add(nd, part, out=nd)
-        if shared:  # the loss takes its log of x/m in s, once the share has read it
+        if v is not None:
+            part = t.swapaxes(-1, -2) @ v[rows]
+            nd = part if nd is None else np.add(nd, part, out=nd)
+        elif not made:
+            np.matmul(t, f.q, out=tq[..., rows, :])
+        if shared:  # the loss takes its log of x/m in s, once t Q has read it
             loss += objective(xs, m, beta, s, x_term, ratio_in_out=True)
-    if fill:
-        at_q[2] = xq
-    num, den = (nd, None) if beta in (1.0, 2.0) else nd
-    return num, den, loss
+    if beta == 2.0 and v is None:
+        at_q[2] = tq
+    return (tq if v is None else nd), loss
 
 
 def _scale(u, num, den, cfg):
@@ -246,19 +254,12 @@ def _scale(u, num, den, cfg):
 
 
 def _mode1_terms(plan, f, beta, losses=False):
-    """Fill the plan's slot with ``(f, B, num, den)``: mode 1's MU products at
-    `f` (each slab gives its rows), which mode 1 reads only at that `f`.
-    Return the loss if `losses`."""
+    """Fill the plan's slot with ``(f, B, nd)``: mode 1's MU products at `f`,
+    n (and d, stacked) as :func:`_pass` makes them, which mode 1 reads only
+    at that `f`. Return the loss if `losses`."""
     b = _basis(plan, f, whole=False)
-    bt = b.reshape(len(b), -1).T
-    out = np.empty((len(f.w), len(b)) if beta in (1.0, 2.0) else (2, len(f.w), len(b)))
-
-    def share(tq, r, rows):  # mode 1's rows r of n (and d), in place
-        np.matmul(tq.reshape(tq.shape[:-2] + (-1, len(bt))), bt, out=out[..., r, :])
-        return out
-
-    num, den, loss = _pass(plan, f, beta, share, losses)
-    plan.slot = f, b, num, den
+    tq, loss = _pass(plan, f, beta, losses)  # T Q as J x (K*L')
+    plan.slot = f, b, tq.reshape(tq.shape[:-2] + (len(f.w), -1)) @ b.reshape(len(b), -1).T
     return loss
 
 
@@ -270,29 +271,25 @@ def update_mode_factor(x, f, mode, cfg, plan=None):
     plan = _Plan(x) if plan is None else plan
     if mode == 3:  # x.reshape(J*K, L) ~ V Q^T with V the mode-3 basis
         v = _basis(plan, f)
-        num, den, _ = _pass(plan, f, cfg.beta, lambda t, r, rows: t.swapaxes(-1, -2) @ v[rows], by_q=False)
+        nd, _ = _pass(plan, f, cfg.beta, v=v)
+        num, den = (nd, None) if cfg.beta in (1.0, 2.0) else nd
         if cfg.beta == 2.0:
             den = f.q @ (v.T @ v)
         return _scale(f.q, num, np.add.reduce(v) if den is None else den, cfg)
-    # x ~ U V with V[a,n,l] = sum_c B[a,n,c] Q[l,c]: contract T with Q, then B
+    # x ~ U V with V[a,n,l] = sum_c B[a,n,c] Q[l,c]: contract T Q with B
     if mode == 1:  # B = H x_2 G, J' x K x L'
         if plan.slot is None or plan.slot[0] is not f:
             _mode1_terms(plan, f, cfg.beta)
-        u, (_, b, num, den) = f.w, plan.slot
-    elif mode == 2:
-        # B = W x_1 G, K' x J x L'; one GEMM per slab and product, where J
-        # per-slice matmuls would each wait on the BLAS threads
+        u, (_, b, nd) = f.w, plan.slot
+    elif mode == 2:  # B = W x_1 G, K' x J x L'
         u, b = f.h, (f.w @ f.core.reshape(jc, -1)).reshape(j, kc, lc).transpose(1, 0, 2)
-        rows = b.reshape(kc, -1)  # a copy at factor-times-core size
-
-        def share(tq, r, _):  # slab rows x L' -> K x K', copying at slab-times-L'/L size
-            lead = tq.shape[:-2]
-            tq = tq.reshape(lead + (-1, k, lc)).swapaxes(-3, -2).reshape(lead + (k, -1))
-            return tq @ rows[:, r.start * lc:r.stop * lc].T
-
-        num, den, _ = _pass(plan, f, cfg.beta, share)
+        tq, _ = _pass(plan, f, cfg.beta)
+        lead = tq.shape[:-2]  # T Q as K x (J*L'), a copy
+        tq = tq.reshape(lead + (j, k, lc)).swapaxes(-3, -2).reshape(lead + (k, -1))
+        nd = tq @ b.reshape(kc, -1).T
     else:
         raise ValueError(f"mode must be 1, 2 or 3, got {mode!r}")
+    num, den = (nd, None) if cfg.beta in (1.0, 2.0) else nd
     if cfg.beta == 2.0:  # V V^T = B (Q^T Q) B^T, at core size
         den = u @ ((b @ (f.q.T @ f.q)).reshape(len(b), -1) @ b.reshape(len(b), -1).T)
     elif den is None:
@@ -302,15 +299,15 @@ def update_mode_factor(x, f, mode, cfg, plan=None):
 
 def update_core(x, f, cfg, plan=None):
     """One multiplicative update of the core: the products with the
-    transposed Kronecker matrix contract each slab's MU terms with Q, H
-    and W in turn. `plan` is as for :func:`update_mode_factor`."""
-    k, shape = x.shape[1], f.core.shape
-
-    def share(tq, r, _):  # slab rows x L' -> J' x K' x L'
-        th = np.matmul(f.h.T, tq.reshape(tq.shape[:-2] + (-1, k, shape[2])))  # (slices, K', L')
-        return (f.w[r].T @ th.reshape(th.shape[:-2] + (-1,))).reshape(th.shape[:-3] + shape)
-
-    num, den, _ = _pass(_Plan(x) if plan is None else plan, f, cfg.beta, share)
+    transposed Kronecker matrix contract the MU terms with Q, H and W in
+    turn. `plan` is as for :func:`update_mode_factor`."""
+    j, k = x.shape[:2]
+    shape = f.core.shape
+    tq, _ = _pass(_Plan(x) if plan is None else plan, f, cfg.beta)
+    lead = tq.shape[:-2]
+    th = np.matmul(f.h.T, tq.reshape(lead + (j, k, shape[2])))  # J x K' x L'
+    nd = (f.w.T @ th.reshape(lead + (j, -1))).reshape(lead + shape)
+    num, den = (nd, None) if cfg.beta in (1.0, 2.0) else nd
     if cfg.beta == 2.0:  # G x_1 W^T W x_2 H^T H x_3 Q^T Q
         wg = ((f.w.T @ f.w) @ f.core.reshape(shape[0], -1)).reshape(shape)
         den = np.matmul(f.h.T @ f.h, wg) @ (f.q.T @ f.q)

@@ -331,16 +331,20 @@ class TestPipeline:
         times = [float(t) for t in (out / "boundaries.txt").read_text().split()]
         assert times == [0.0, 32.0]
 
-    def test_all_zero_nnlms_rejected(self, tmp_path):
+    def test_all_zero_nnlms_rejected(self, tmp_path, capsys):
+        # 10 bars, so the default kernel (width 8) fits and the all-zero check is reached
         spec_path = tmp_path / "spec.txt"
         bars_path = tmp_path / "bars.txt"
+        out = tmp_path / "o"
         write_spectrogram(spec_path, Spectrogram(np.zeros((4, 100)), 0.1))
-        write_bars(bars_path, BarGrid([0.0, 5.0, 10.0]))
+        write_bars(bars_path, BarGrid(np.arange(11.0)))
         rc = main([
             "pipeline", str(spec_path), str(bars_path), "--feature", "nnlms",
-            "--beta", "1", "--out", str(tmp_path / "o"),
+            "--beta", "1", "--out", str(out),
         ])
         assert rc == EXIT_ARGUMENT
+        assert "all-zero over the bar grid" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--kernel-half-width", "6", "kernel width 12 exceeds the 10 bars"),

@@ -32,6 +32,10 @@ class TestAutosimilarity:
         np.testing.assert_allclose(sim, sim.T, rtol=1e-12)
         np.testing.assert_allclose(np.diag(sim), np.ones(10), rtol=1e-12)
 
+    def test_rejects_a_vector(self):
+        with pytest.raises(ValueError, match=r"^expected a matrix, got ndim=1$"):
+            bar_autosimilarity(np.ones(4))
+
     def test_zero_rows_give_zero_similarity(self):
         q = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
         sim = bar_autosimilarity(q)

@@ -59,6 +59,12 @@ class TestFactorUpdate:
             current = (f.w, f.h, f.q)[mode - 1]
             np.testing.assert_allclose(updated, current, rtol=1e-12)
 
+    @pytest.mark.parametrize("mode", [0, 4])
+    def test_rejects_unknown_mode(self, mode):
+        f, x = planted_instance((5, 4, 6), (2, 2, 2), seed=3)
+        with pytest.raises(ValueError, match=f"^mode must be 1, 2 or 3, got {mode}$"):
+            update_mode_factor(x, f, mode, SolverConfig(core_dims=(2, 2, 2)))
+
     def test_rank1_reduces_to_nmf_step(self):
         # J'=K'=L'=1 with beta=2 on a 2x2x1 instance: the W update is the
         # scalar-basis NMF MU rule, hand-rolled here
@@ -249,6 +255,10 @@ class TestSolve:
             warnings.simplefilter("error")
             with pytest.raises(NumericalDomainError, match="^non-finite loss at the starting point$"):
                 solve(x, SolverConfig(beta=beta, core_dims=(2, 2, 2)))
+
+    def test_rejects_data_that_is_not_third_order(self):
+        with pytest.raises(ValueError, match=r"^expected a third-order tensor, got ndim=2$"):
+            solve(np.ones((3, 4)), SolverConfig(core_dims=(1, 1, 1)))
 
     def test_rejects_negative_data(self):
         x = -np.ones((2, 2, 2))
@@ -501,9 +511,9 @@ class TestSlabs:
 
     @pytest.mark.parametrize("beta", BETAS)
     def test_one_slice_per_slab(self, beta, monkeypatch):
-        # 17 slabs: every share after the first is added into the first, and
-        # each of mode 1's fills its own row, so a share that is dropped,
-        # added twice or placed in the wrong rows shows
+        # 17 slabs: each writes its own row of T Q, and each of mode 3's
+        # shares after the first is added into the first, so a slab that is
+        # dropped, added twice or placed in the wrong rows shows
         monkeypatch.setattr(beta_ntd.solver, "_SLAB_ENTRIES", 12)
         x, init, cfg = _instance((17, 3, 4), (3, 2, 2), beta, seed=38)
         assert [len(x[r]) for r, _ in beta_ntd.solver._slabs(x.shape, 12)] == [1] * 17
@@ -524,8 +534,9 @@ class TestSlabs:
     @pytest.mark.parametrize("beta", BETAS)
     def test_passes_leave_the_kept_products_unchanged(self, beta):
         # each pass below reads what the loss pass at f kept: mode 1's
-        # products, H x_2 G, the mode-3 basis, Q^T and (beta=2) X Q; a share
-        # that returned a view of one of them would have the fold add into it
+        # products, H x_2 G, the mode-3 basis, Q^T and (beta=2) X Q, which is
+        # the plan's T Q buffer; a pass that wrote its T Q, or added mode 3's
+        # shares, into one of them would change it
         x, f, cfg = _instance((7, 3, 4), (3, 2, 2), beta, seed=39)
         plan = beta_ntd.solver._Plan(x, beta)
         beta_ntd.solver._mode1_terms(plan, f, beta, losses=True)
@@ -540,6 +551,29 @@ class TestSlabs:
         update_core(x, f, cfg, plan)
         assert all(a is b for a, b in zip(kept(), made, strict=True))  # read, not made again
         assert [a.tobytes() for a in made] == before
+
+    def test_beta_two_mode2_after_the_loss_pass_reads_no_slab(self):
+        # the loss pass at f makes X Q at f's Q, which mode 2 at that Q reads
+        # without a pass over the data; at another Q, mode 2 makes its own
+        x, f, cfg = _instance((7, 3, 4), (3, 2, 2), 2.0, seed=40)
+        plan = beta_ntd.solver._Plan(x, 2.0)
+        slabs, read = plan.slabs, []
+
+        class Counted:
+            def __iter__(self):
+                for slab in slabs:
+                    read.append(slab)
+                    yield slab
+
+        plan.slabs = Counted()
+        beta_ntd.solver._mode1_terms(plan, f, 2.0, losses=True)
+        assert len(read) == 4
+        ours = update_mode_factor(x, f, 2, cfg, plan)
+        assert len(read) == 4
+        np.testing.assert_array_equal(ours, update_mode_factor(x, f, 2, cfg))
+        q = init_factors(x.shape, replace(cfg, seed=41)).q
+        update_mode_factor(x, FactorSet(f.w, f.h, q, f.core), 2, cfg, plan)
+        assert len(read) == 8
 
     @pytest.mark.parametrize("beta", BETAS)
     def test_last_loss_matches_public_objective(self, beta):

@@ -13,6 +13,7 @@ from beta_ntd.tensor_ops import (
     matricize,
     mode_product,
     multiway_product,
+    read_matrix,
     read_tensor,
     write_matrix,
     write_tensor,
@@ -256,6 +257,16 @@ class TestTensorFile:
         path.write_text("bogus 1 1 2\n1.0 1.0\n")
         with pytest.raises(ParseError):
             read_tensor(path)
+
+    @pytest.mark.parametrize("read, header, message", [
+        (read_tensor, "ntd-t3 1 2.5 1", "non-integer dimensions in header"),
+        (read_matrix, "ntd-mat 0 2", "dimensions must be positive"),
+    ], ids=["non-integer", "zero"])
+    def test_rejects_bad_header_dimensions(self, tmp_path, read, header, message):
+        path = tmp_path / "t.txt"
+        path.write_text(header + "\n1.0 1.0\n")
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}:1: {message}$"):
+            read(path)
 
     def test_rejects_wrong_count(self, tmp_path):
         path = tmp_path / "t.txt"

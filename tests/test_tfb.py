@@ -143,6 +143,12 @@ class TestFiles:
         with pytest.raises(ParseError, match=r"s\.txt:1: hop_seconds"):
             read_spectrogram(path)
 
+    def test_spectrogram_malformed_hop_names_header(self, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_text("ntd-spec v1 1 2 abc\n1 2\n")
+        with pytest.raises(ParseError, match=r"s\.txt:1: malformed header fields$"):
+            read_spectrogram(path)
+
     def test_bars_roundtrip(self, tmp_path):
         bars = BarGrid([0.0, 1.5, 3.25])
         path = tmp_path / "b.txt"
@@ -169,6 +175,19 @@ class TestFiles:
         with pytest.raises(ParseError, match=":3:"):
             read_bars(path)
 
+    def test_bars_blank_lines_are_skipped_but_counted(self, tmp_path):
+        path = tmp_path / "b.txt"
+        path.write_text("0\n\n  \n2\n1\n")
+        with pytest.raises(ParseError, match=r"b\.txt:5: boundary 1\.0 not strictly increasing$"):
+            read_bars(path)
+
+    @pytest.mark.parametrize("body", ["0\n", ""], ids=["one-time", "empty"])
+    def test_bars_need_two_times(self, tmp_path, body):
+        path = tmp_path / "b.txt"
+        path.write_text(body)
+        with pytest.raises(ParseError, match=r"b\.txt: need at least 2 boundary times$"):
+            read_bars(path)
+
 
 def test_bargrid_validation():
     with pytest.raises(ValueError):
@@ -191,6 +210,11 @@ def test_spectrogram_rejects_non_finite_or_negative_data(bad):
     with pytest.raises(ValueError, match="data must be finite and nonnegative"):
         with np.errstate(invalid="ignore", divide="ignore"):
             nnlms(spec)
+
+
+def test_spectrogram_rejects_data_that_is_not_a_matrix():
+    with pytest.raises(ValueError, match=r"^spectrogram data must be 2D, got ndim=3$"):
+        Spectrogram(np.ones((2, 3, 4)), 0.1)
 
 
 @pytest.mark.parametrize("hop", [float("nan"), float("inf"), 0.0, -1.0])
