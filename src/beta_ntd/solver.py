@@ -19,10 +19,11 @@ each; mode 3, whose products need the terms themselves, adds each slab's
 share into the first's, in slab order. At beta=2 the denominators are in
 Gram form and only the loss builds a model. The plan keeps each product
 that more than one pass reads, with the factors it was made from: mode 1's
-products, H x_2 G, the mode-3 basis, Q^T and, at beta=2, the buffer, which
-is then X Q. So each is made once per new factor. `solve` checks the
-data's domain once, from its minimum and maximum, and at beta <= 1 raises
-it to epsilon, a normal float, copying it only when that changes an entry.
+products, H x_2 G, the mode-3 basis, Q^T, Q's column sums (beta=1) or
+Q^T Q (beta=2) and, at beta=2, the buffer, which is then X Q. So each is
+made once per new factor. `solve` checks the data's domain once, from its
+minimum and maximum, and at beta <= 1 raises it to epsilon, a normal float,
+copying it only when that changes an entry.
 """
 
 import math
@@ -162,10 +163,10 @@ class _Plan:
     """Per slab of data `x`: its mode-1 range, rows of ``x.reshape(J*K, L)``,
     their view, (given `beta`) data term, and its model and scratch views,
     apart and stacked, into one buffer pair of the first (largest) slab's
-    size. Also :func:`_pass`'s T Q buffer `tq`, made once per shape, and
+    size. Also :func:`_pass`'s T Q buffer `tq`, made by the first pass, and
     what one pass hands to the next, each with the factors it was made
     from: the slot of :func:`_mode1_terms` (or None), :func:`_basis`'s and
-    :func:`_pass`'s. A plan serves one beta."""
+    :func:`_pass`'s `at_q`. A plan serves one beta and one core shape."""
 
     def __init__(self, x, beta=None):
         self.x3 = x3 = x.reshape(-1, x.shape[2])
@@ -173,7 +174,7 @@ class _Plan:
         pair = np.empty((2,) + cuts[0][2].shape)
         self.slabs = [(r, rows, xs, None if beta is None else data_term(x[r], beta),
                        *pair[:, :len(xs)], pair[:, :len(xs)]) for r, rows, xs in cuts]
-        self.slot, self.bases, self.at_q, self.tq = None, [None] * 5, [None] * 3, np.empty(0)
+        self.slot, self.bases, self.at_q, self.tq = None, [None] * 5, [None] * 4, None
 
 
 def _basis(plan, f, whole=True):
@@ -195,18 +196,19 @@ def _pass(plan, f, beta, losses=False, v=None):
     of ``t^T v[rows]`` over the slabs, added in place in slab order; else
     return T Q, each slab's ``t Q`` written into its rows of the plan's
     buffer `tq`. At beta=2 T Q is X Q, kept per Q, so a pass without the
-    loss at a Q that has it reads no data. Also return the loss or None."""
-    if plan.at_q[0] is not f.q:  # Q, Q^T and X Q (made by a beta=2 pass), once per Q
-        plan.at_q = [f.q, np.ascontiguousarray(f.q.T), None]
+    loss at a Q that has it reads no data. Also return the loss or None. A
+    new Q gets `at_q`: Q, Q^T, X Q, Q's column sums at beta=1, Q^T Q at 2."""
+    q = f.q
+    if plan.at_q[0] is not q:  # Q, Q^T, X Q (made by a beta=2 pass) and Q's statistic, once per Q
+        plan.at_q = [q, np.ascontiguousarray(q.T), None,
+                     np.add.reduce(q) if beta == 1.0 else q.T @ q if beta == 2.0 else None]
     at_q = plan.at_q
     made = beta == 2.0 and v is None and at_q[2] is not None
     if made and not losses:
         return at_q[2], None
-    jk, lc = len(plan.x3), f.q.shape[1]
-    shape = (jk, lc) if beta in (1.0, 2.0) else (2, jk, lc)
-    if plan.tq.shape != shape:  # once per plan and shape
-        plan.tq = np.empty(shape)
     tq = plan.tq
+    if tq is None:  # once per plan, which serves one beta and one core shape
+        tq = plan.tq = np.empty((() if beta in (1.0, 2.0) else (2,)) + (len(plan.x3), q.shape[1]))
     basis = None if beta == 2.0 and not losses else _basis(plan, f)  # at beta=2 the MU terms are the data
     shared = losses and beta == 1.0  # the loss reads mode 1's x/m
     nd, loss = None, 0.0 if losses else None
@@ -235,7 +237,7 @@ def _pass(plan, f, beta, losses=False, v=None):
             part = t.swapaxes(-1, -2) @ v[rows]
             nd = part if nd is None else np.add(nd, part, out=nd)
         elif not made:
-            np.matmul(t, f.q, out=tq[..., rows, :])
+            np.matmul(t, q, out=tq[..., rows, :])
         if shared:  # the loss takes its log of x/m in s, once t Q has read it
             loss += objective(xs, m, beta, s, x_term, ratio_in_out=True)
     if beta == 2.0 and v is None:
@@ -259,7 +261,8 @@ def _mode1_terms(plan, f, beta, losses=False):
     at that `f`. Return the loss if `losses`."""
     b = _basis(plan, f, whole=False)
     tq, loss = _pass(plan, f, beta, losses)  # T Q as J x (K*L')
-    plan.slot = f, b, tq.reshape(tq.shape[:-2] + (len(f.w), -1)) @ b.reshape(len(b), -1).T
+    nd = tq.reshape(tq.shape[:-2] + (len(f.w), -1)) @ b.reshape(len(b), -1).T
+    plan.slot = f, b, nd, plan.at_q[3]
     return loss
 
 
@@ -267,7 +270,6 @@ def update_mode_factor(x, f, mode, cfg, plan=None):
     """One multiplicative update of the factor for `mode`. `plan`, made if
     omitted, is the :class:`_Plan` of `x`, whose slot and products serve where valid."""
     j, k, _ = x.shape
-    jc, kc, lc = f.core.shape
     plan = _Plan(x) if plan is None else plan
     if mode == 3:  # x.reshape(J*K, L) ~ V Q^T with V the mode-3 basis
         v = _basis(plan, f)
@@ -280,20 +282,20 @@ def update_mode_factor(x, f, mode, cfg, plan=None):
     if mode == 1:  # B = H x_2 G, J' x K x L'
         if plan.slot is None or plan.slot[0] is not f:
             _mode1_terms(plan, f, cfg.beta)
-        u, (_, b, nd) = f.w, plan.slot
-    elif mode == 2:  # B = W x_1 G, K' x J x L'
-        u, b = f.h, (f.w @ f.core.reshape(jc, -1)).reshape(j, kc, lc).transpose(1, 0, 2)
+        u, (_, b, nd, qs) = f.w, plan.slot  # Q's statistic made at the slot's Q
+    elif mode == 2:  # B = W x_1 G, K' x J x L', in one product
+        u, b = f.h, np.matmul(f.w, f.core.transpose(1, 0, 2))
         tq, _ = _pass(plan, f, cfg.beta)
         lead = tq.shape[:-2]  # T Q as K x (J*L'), a copy
-        tq = tq.reshape(lead + (j, k, lc)).swapaxes(-3, -2).reshape(lead + (k, -1))
-        nd = tq @ b.reshape(kc, -1).T
+        tq = tq.reshape(lead + (j, k, -1)).swapaxes(-3, -2).reshape(lead + (k, -1))
+        nd, qs = tq @ b.reshape(len(b), -1).T, plan.at_q[3]
     else:
         raise ValueError(f"mode must be 1, 2 or 3, got {mode!r}")
     num, den = (nd, None) if cfg.beta in (1.0, 2.0) else nd
     if cfg.beta == 2.0:  # V V^T = B (Q^T Q) B^T, at core size
-        den = u @ ((b @ (f.q.T @ f.q)).reshape(len(b), -1) @ b.reshape(len(b), -1).T)
-    elif den is None:
-        den = np.add.reduce(b, axis=1) @ np.add.reduce(f.q)
+        den = u @ ((b @ qs).reshape(len(b), -1) @ b.reshape(len(b), -1).T)
+    elif den is None:  # qs: Q's column sums
+        den = np.add.reduce(b, axis=1) @ qs
     return _scale(u, num, den, cfg)
 
 
@@ -303,16 +305,17 @@ def update_core(x, f, cfg, plan=None):
     turn. `plan` is as for :func:`update_mode_factor`."""
     j, k = x.shape[:2]
     shape = f.core.shape
-    tq, _ = _pass(_Plan(x) if plan is None else plan, f, cfg.beta)
+    plan = _Plan(x) if plan is None else plan
+    tq, _ = _pass(plan, f, cfg.beta)
     lead = tq.shape[:-2]
     th = np.matmul(f.h.T, tq.reshape(lead + (j, k, shape[2])))  # J x K' x L'
     nd = (f.w.T @ th.reshape(lead + (j, -1))).reshape(lead + shape)
     num, den = (nd, None) if cfg.beta in (1.0, 2.0) else nd
     if cfg.beta == 2.0:  # G x_1 W^T W x_2 H^T H x_3 Q^T Q
         wg = ((f.w.T @ f.w) @ f.core.reshape(shape[0], -1)).reshape(shape)
-        den = np.matmul(f.h.T @ f.h, wg) @ (f.q.T @ f.q)
+        den = np.matmul(f.h.T @ f.h, wg) @ plan.at_q[3]
     elif den is None:  # the outer product of the factors' column sums
-        den = (np.add.reduce(f.w)[:, None] * np.add.reduce(f.h))[:, :, None] * np.add.reduce(f.q)
+        den = (np.add.reduce(f.w)[:, None] * np.add.reduce(f.h))[:, :, None] * plan.at_q[3]
     return _scale(f.core, num, den, cfg)
 
 
@@ -351,6 +354,8 @@ def solve(x, cfg, init=None):
         raise ValueError(f"expected a third-order tensor, got ndim={x.ndim}")
     if x.size == 0:
         raise ValueError(f"data tensor must not be empty, got shape {x.shape}")
+    if any(c > d for c, d in zip(cfg.core_dims, x.shape)):  # before the start is drawn
+        raise ValueError(f"core_dims {cfg.core_dims} exceed the data's shape {x.shape}")
     lo, hi = float(x.min()), float(x.max())  # NaN propagates to both
     if not lo >= 0 and np.any(x < 0):  # a NaN minimum may hide a negative
         raise ValueError("data tensor must be nonnegative")

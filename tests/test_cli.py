@@ -247,6 +247,31 @@ class TestDecompose:
         assert f"{flag[2:].replace('-', '_')} must be finite" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("core_dims", ["2,5,2", "8,8,8"])
+    def test_core_dims_above_the_datas_exit_2(self, small_tensor, tmp_path, capsys, core_dims):
+        out = tmp_path / "o"
+        rc = main(["decompose", str(small_tensor), "--core-dims", core_dims, "--out", str(out)])
+        assert rc == EXIT_ARGUMENT
+        dims = core_dims.replace(",", ", ")
+        assert capsys.readouterr().err == f"error: core_dims ({dims}) exceed the data's shape (5, 4, 3)\n"
+        assert list(out.iterdir()) == []
+
+    def test_non_finite_loss_mid_run_exit_4(self, small_tensor, tmp_path, capsys, monkeypatch):
+        # the third loss pass (after iteration 2) reads inf; the data is one slab
+        make, calls = beta_ntd.solver.objective, []
+
+        def third_is_inf(*args, **kwargs):
+            calls.append(None)
+            return np.inf if len(calls) == 3 else make(*args, **kwargs)
+
+        monkeypatch.setattr(beta_ntd.solver, "objective", third_is_inf)
+        out = tmp_path / "o"
+        rc = main(["decompose", str(small_tensor), "--core-dims", "2,2,2", "--max-iters", "5",
+                   "--rel-tol", "0", "--out", str(out)])
+        assert rc == EXIT_NUMERICAL
+        assert capsys.readouterr().err == "error: non-finite loss at iteration 2\n"
+        assert list(out.iterdir()) == []
+
     def test_bad_core_dims_flag(self, small_tensor, tmp_path):
         rc = main([
             "decompose", str(small_tensor), "--core-dims", "2,2",
@@ -268,9 +293,12 @@ class TestDecompose:
         assert config == as_json(cfg)
         assert config["loss_eval_period"] == 1
 
-    def test_flag_defaults_are_the_solver_defaults(self, small_tensor, tmp_path):
+    def test_flag_defaults_are_the_solver_defaults(self, tmp_path):
+        # data no smaller than the default core in any mode
+        x_path = tmp_path / "x8.txt"
+        write_tensor(x_path, np.random.default_rng(0).uniform(0.1, 1.0, (8, 9, 8)))
         out = tmp_path / "out"
-        assert main(["decompose", str(small_tensor), "--out", str(out)]) == EXIT_OK
+        assert main(["decompose", str(x_path), "--out", str(out)]) == EXIT_OK
         config = json.loads((out / "manifest.json").read_text())["config"]
         assert config == as_json(SolverConfig())
 
@@ -315,6 +343,15 @@ class TestPipeline:
         assert any(abs(t - 16.0) <= 2.0 for t in times)  # seam at bar 8
         assert (out / "tfb.txt").exists()
         assert (out / "manifest.json").exists()
+
+    def test_core_dims_above_the_tfbs_exit_2(self, tmp_path, capsys):
+        spec_path, bars_path = synthetic_song(tmp_path)  # TFB 10 x 20 x 16
+        out = tmp_path / "out"
+        rc = main(["pipeline", str(spec_path), str(bars_path), "--frames-per-bar", "20",
+                   "--core-dims", "11,2,2", "--out", str(out)])
+        assert rc == EXIT_ARGUMENT
+        assert capsys.readouterr().err == "error: core_dims (11, 2, 2) exceed the data's shape (10, 20, 16)\n"
+        assert list(out.iterdir()) == []
 
     def test_constant_spectrogram_no_interior_boundaries(self, tmp_path):
         spec_path = tmp_path / "spec.txt"
@@ -573,6 +610,16 @@ class TestBench:
         assert rc == EXIT_ARGUMENT
         err = capsys.readouterr().err
         assert err.startswith("error: Unable to allocate 196. TiB")
+        assert list(out.iterdir()) == []
+        assert beta_ntd.cli._blas_threads() == threads
+
+    def test_core_dims_above_the_dims_exit_2(self, tmp_path, capsys):
+        threads = beta_ntd.cli._blas_threads()
+        out = tmp_path / "out"
+        rc = main(["bench", "--dims", "4,4,4", "--core-dims", "2,2,5", "--iters", "1",
+                   "--out", str(out)])
+        assert rc == EXIT_ARGUMENT
+        assert capsys.readouterr().err == "error: core_dims (2, 2, 5) exceed the data's shape (4, 4, 4)\n"
         assert list(out.iterdir()) == []
         assert beta_ntd.cli._blas_threads() == threads
 

@@ -1,3 +1,4 @@
+import math
 import time
 import tracemalloc
 import warnings
@@ -259,6 +260,36 @@ class TestSolve:
     def test_rejects_data_that_is_not_third_order(self):
         with pytest.raises(ValueError, match=r"^expected a third-order tensor, got ndim=2$"):
             solve(np.ones((3, 4)), SolverConfig(core_dims=(1, 1, 1)))
+
+    @pytest.mark.parametrize("core_dims", [(4, 4, 2), (3, 5, 2), (3, 4, 3), (1, 1, 100000)])
+    def test_rejects_core_dims_above_the_datas_before_drawing(self, core_dims, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("solve drew a start for core dimensions above the data's")
+
+        monkeypatch.setattr(beta_ntd.solver, "init_factors", no_draw)
+        cfg = SolverConfig(core_dims=core_dims)
+        message = rf"^core_dims \({', '.join(map(str, core_dims))}\) exceed the data's shape \(3, 4, 2\)$"
+        with pytest.raises(ValueError, match=message):
+            solve(np.ones((3, 4, 2)), cfg)
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 2.0, 3.0])
+    def test_non_finite_loss_mid_run_raises(self, beta, monkeypatch):
+        # the loss passes at the start and after iteration 1 are finite; the
+        # one after iteration 2 reads inf
+        make = beta_ntd.solver.objective
+        x = np.random.default_rng(24).uniform(0.1, 1.0, (5, 4, 3))
+        assert len(beta_ntd.solver._slabs(x.shape, beta_ntd.solver._SLAB_ENTRIES)) == 1
+        calls = []
+
+        def third_is_inf(*args, **kwargs):
+            calls.append(None)
+            return math.inf if len(calls) == 3 else make(*args, **kwargs)
+
+        monkeypatch.setattr(beta_ntd.solver, "objective", third_is_inf)
+        cfg = SolverConfig(beta=beta, core_dims=(2, 2, 2), max_iters=5, rel_tol=0.0)
+        with pytest.raises(NumericalDomainError, match="^non-finite loss at iteration 2$"):
+            solve(x, cfg)
+        assert len(calls) == 3
 
     def test_rejects_negative_data(self):
         x = -np.ones((2, 2, 2))
@@ -534,9 +565,9 @@ class TestSlabs:
     @pytest.mark.parametrize("beta", BETAS)
     def test_passes_leave_the_kept_products_unchanged(self, beta):
         # each pass below reads what the loss pass at f kept: mode 1's
-        # products, H x_2 G, the mode-3 basis, Q^T and (beta=2) X Q, which is
-        # the plan's T Q buffer; a pass that wrote its T Q, or added mode 3's
-        # shares, into one of them would change it
+        # products, H x_2 G, the mode-3 basis, Q^T, (beta=2) X Q, which is
+        # the plan's T Q buffer, and Q's statistic (beta 1 and 2); a pass that
+        # wrote its T Q, or added mode 3's shares, into one of them would change it
         x, f, cfg = _instance((7, 3, 4), (3, 2, 2), beta, seed=39)
         plan = beta_ntd.solver._Plan(x, beta)
         beta_ntd.solver._mode1_terms(plan, f, beta, losses=True)
@@ -545,6 +576,10 @@ class TestSlabs:
             return [a for a in (*plan.slot[1:], *plan.bases, *plan.at_q, plan.x3) if a is not None]
 
         assert (plan.at_q[2] is not None) == (beta == 2.0)
+        stat = {1.0: np.add.reduce(f.q), 2.0: f.q.T @ f.q}.get(beta)
+        assert plan.slot[3] is plan.at_q[3] and (plan.at_q[3] is None) == (stat is None)
+        if stat is not None:
+            np.testing.assert_array_equal(plan.at_q[3], stat)
         made, before = kept(), [a.tobytes() for a in kept()]
         for mode in (1, 2, 3):
             update_mode_factor(x, f, mode, cfg, plan)
@@ -632,10 +667,11 @@ class TestSlabs:
 
     @pytest.mark.parametrize("beta", BETAS)
     def test_products_serve_only_the_factors_they_were_made_at(self, beta):
-        # a loss pass at f keeps H x_2 G, the mode-3 basis, Q^T and (beta=2)
-        # X Q in the plan, and a beta=2 core pass keeps X Q at its Q: an
-        # update at factors that share some of f's, and at none, equals a
-        # plan-less one bit for bit
+        # a loss pass at f keeps H x_2 G, the mode-3 basis, Q^T, (beta=2)
+        # X Q and Q's statistic in the plan, and a core pass keeps X Q and the
+        # statistic at its Q: an update at factors that share some of f's,
+        # and at none, equals a plan-less one bit for bit, and so does mode 1
+        # at f once the plan has moved to another Q
         x, f, cfg = _instance((7, 3, 4), (3, 2, 2), beta, seed=35)
         g = init_factors(x.shape, replace(cfg, seed=36))
         plan = beta_ntd.solver._Plan(x, beta)
@@ -650,6 +686,36 @@ class TestSlabs:
                 else:
                     ours = update_mode_factor(x, h, update, cfg, plan)
                     np.testing.assert_array_equal(ours, update_mode_factor(x, h, update, cfg))
+        beta_ntd.solver._mode1_terms(plan, f, beta, losses=True)
+        update_core(x, FactorSet(f.w, f.h, g.q, f.core), cfg, plan)
+        assert plan.at_q[0] is g.q and plan.slot[0] is f
+        np.testing.assert_array_equal(update_mode_factor(x, f, 1, cfg, plan), update_mode_factor(x, f, 1, cfg))
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_one_iterate_makes_the_q_statistic_once(self, beta, monkeypatch):
+        # after the loss pass at f, Q's column sums (beta=1) or Q^T Q (beta=2)
+        # are made once, for mode 3's new Q, and read by the core; none at other beta
+        make = beta_ntd.solver._pass
+        x, f, cfg = _instance((7, 3, 4), (3, 2, 2), beta, seed=42)
+        plan = beta_ntd.solver._Plan(x, beta)
+        beta_ntd.solver._mode1_terms(plan, f, beta, losses=True)
+        seen = [plan.at_q]  # each list of Q's products, made once per Q
+
+        def counted(p, *args, **kwargs):
+            out = make(p, *args, **kwargs)
+            if p.at_q is not seen[-1]:
+                seen.append(p.at_q)
+            return out
+
+        monkeypatch.setattr(beta_ntd.solver, "_pass", counted)
+        g = iterate(x, f, cfg, plan)
+        assert len(seen) == 2 and seen[0][0] is f.q and seen[1][0] is g.q
+        stat = {1.0: np.add.reduce, 2.0: lambda q: q.T @ q}.get(beta)
+        for at_q in seen:
+            if stat is None:
+                assert at_q[3] is None
+            else:
+                np.testing.assert_array_equal(at_q[3], stat(at_q[0]))
 
     @pytest.mark.parametrize("beta", BETAS)
     def test_one_iterate_builds_the_mode3_basis_per_new_factors(self, beta, monkeypatch):

@@ -190,6 +190,23 @@ def test_clamp_min():
     np.testing.assert_array_equal(out, np.full((3, 3), 1e-12))
 
 
+@pytest.mark.parametrize("eps", [0.0, -1e-12])
+def test_clamp_min_rejects_eps_that_is_not_positive(eps):
+    with pytest.raises(ValueError, match=f"^eps must be positive, got {eps}$"):
+        clamp_min(np.ones((2, 2)), eps)
+
+
+@pytest.mark.parametrize("write, data, message", [
+    (write_tensor, np.ones((2, 3)), "^expected a third-order tensor, got ndim=2$"),
+    (write_matrix, np.ones((2, 3, 4)), "^expected a matrix, got ndim=3$"),
+], ids=["tensor-given-a-matrix", "matrix-given-a-tensor"])
+def test_writers_reject_the_wrong_order(write, data, message, tmp_path):
+    path = tmp_path / "out.txt"
+    with pytest.raises(ValueError, match=message):
+        write(path, data)
+    assert not path.exists()
+
+
 class TestTensorFile:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(15)
