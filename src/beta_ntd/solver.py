@@ -9,21 +9,20 @@ elementwise maximum against a small constant so entries never reach zero.
 Products work on the C-order view ``X.reshape(J*K, L)`` of the data X
 (J x K x L), modelled by the mode-3 basis W (H G) times Q^T. Updates and
 losses stream the view in slabs of whole mode-1 slices that stay in L2
-cache with their model and MU terms. `solve` plans the slabs once, with
-one model and one scratch buffer that every slab reuses; at beta other
-than 1 and 2 each slab's two MU terms are stacked and go through each
-product together. Each slab writes its terms times Q into its rows of one
-(J*K) x L' buffer of the plan (two, stacked, at beta other than 1 and 2),
-which modes 1 and 2 and the core then contract whole, in one batched GEMM
-each; mode 3, whose products need the terms themselves, adds each slab's
-share into the first's, in slab order. At beta=2 the denominators are in
-Gram form and only the loss builds a model. The plan keeps each product
-that more than one pass reads, with the factors it was made from: mode 1's
-products, H x_2 G, the mode-3 basis, Q^T, Q's column sums (beta=1) or
-Q^T Q (beta=2) and, at beta=2, the buffer, which is then X Q. So each is
-made once per new factor. `solve` checks the data's domain once, from its
-minimum and maximum, and at beta <= 1 raises it to epsilon, a normal float,
-copying it only when that changes an entry.
+cache with their model and MU terms, n and d stacked at beta other than 1
+and 2. Each slab writes its terms times Q into its rows of one T Q buffer,
+which modes 1 and 2 and the core contract whole, one batched GEMM each;
+mode 3, whose products need the terms themselves, adds each slab's share
+into the first's, in slab order. At beta=2 the denominators are in Gram
+form and only the loss builds a model. `solve` plans the slabs once, and
+the plan keeps one step state: the factors of one iterate and the
+products made from them (H x_2 G, the mode-3 basis, Q^T, Q's statistic,
+and at beta=2 X Q in the T Q buffer). Each update and the loss pass move
+the state to their own factors, remaking only what the update before
+them made stale, so each product is made once per new factor; mode 1
+reads the T Q that the loss pass left. `solve` checks the data's domain
+once, from its minimum and maximum, and at beta <= 1 raises it to
+epsilon, a normal float, copying it only when that changes an entry.
 """
 
 import math
@@ -94,8 +93,11 @@ class FactorSet:
         return FactorSet(self.w.copy(), self.h.copy(), self.q.copy(), self.core.copy())
 
     def approximation(self):
-        """The model as a J x K x L array, by the same product as the loss pass's."""
-        m = np.matmul(_mode3_basis(self), np.ascontiguousarray(self.q.T))
+        """The model as a J x K x L array, by the same products as the loss
+        pass's: the mode-3 basis W (H x_2 G), as (J*K) x L', times Q^T."""
+        hg = np.matmul(self.h, self.core)
+        basis = (self.w @ hg.reshape(len(hg), -1)).reshape(-1, hg.shape[2])
+        m = np.matmul(basis, np.ascontiguousarray(self.q.T))
         return m.reshape(len(self.w), len(self.h), len(self.q))
 
 
@@ -140,14 +142,6 @@ def _checked_copy(f, data_dims, core_dims):
     return f.copy()
 
 
-def _mode3_basis(f, hg=None):
-    """(J*K) x L' basis whose row j*K + k is sum_ab W[j,a] H[k,b] G[a,b,:],
-    so that ``X.reshape(J*K, L)`` is modelled by ``basis @ Q.T``; `hg` is
-    H x_2 G (J' x K x L'), made if omitted."""
-    hg = np.matmul(f.h, f.core) if hg is None else hg
-    return (f.w @ hg.reshape(len(hg), -1)).reshape(-1, hg.shape[2])
-
-
 _SLAB_ENTRIES = 38400  # data entries per slab, unless one mode-1 slice has more
 
 
@@ -160,62 +154,67 @@ def _slabs(dims, entries):
 
 
 class _Plan:
-    """Per slab of data `x`: its mode-1 range, rows of ``x.reshape(J*K, L)``,
-    their view, (given `beta`) data term, and its model and scratch views,
-    apart and stacked, into one buffer pair of the first (largest) slab's
-    size. Also :func:`_pass`'s T Q buffer `tq`, made by the first pass, and
-    what one pass hands to the next, each with the factors it was made
-    from: the slot of :func:`_mode1_terms` (or None), :func:`_basis`'s and
-    :func:`_pass`'s `at_q`. A plan serves one beta and one core shape."""
+    """The slabs of data `x` and one step state, for updates under `cfg` of
+    factors shaped as `f`'s.
 
-    def __init__(self, x, beta=None):
-        self.x3 = x3 = x.reshape(-1, x.shape[2])
+    Per slab: its rows of ``x.reshape(J*K, L)``, their view, its data term
+    (if the plan evaluates `losses`), its model and scratch views, apart and
+    stacked, into one buffer pair of the first (largest) slab's size, and
+    its rows of the T Q buffer `tq`, J x K x L' (n and d stacked ahead at
+    beta other than 1 and 2), which `tq1` views as J x (K*L').
+
+    The step state is the factors `w`, `h`, `q`, `core` it was made at and
+    what was made from them: `hg` = H x_2 G, the mode-3 `basis`, (J*K) x L'
+    (None until a pass needs it), `qt` = Q^T and Q's statistic `stat` (its
+    column sums at beta=1, Q^T Q at beta=2, else None). `xq` says that `tq`
+    holds X Q at `q` (only ever at beta=2), and `at` is the FactorSet whose
+    T Q the loss pass left in `tq` for mode 1 (None once the state moves)."""
+
+    def __init__(self, x, f, cfg, losses=False):
+        (j, k, l), beta = x.shape, cfg.beta
+        self.tq = np.empty((() if beta in (1.0, 2.0) else (2,)) + (j, k, f.q.shape[1]))
+        self.tq1, tq2 = (self.tq.reshape(self.tq.shape[:-3] + d) for d in ((j, -1), (j * k, -1)))
+        x3 = x.reshape(-1, l)
         cuts = [(r, rows, x3[rows]) for r, rows in _slabs(x.shape, _SLAB_ENTRIES)]
         pair = np.empty((2,) + cuts[0][2].shape)
-        self.slabs = [(r, rows, xs, None if beta is None else data_term(x[r], beta),
-                       *pair[:, :len(xs)], pair[:, :len(xs)]) for r, rows, xs in cuts]
-        self.slot, self.bases, self.at_q, self.tq = None, [None] * 5, [None] * 4, None
+        self.slabs = [(rows, xs, data_term(x[r], beta) if losses else None, *pair[:, :len(xs)],
+                       pair[:, :len(xs)], tq2[..., rows, :]) for r, rows, xs in cuts]
+        self.gamma = gamma_exponent(beta)
+        self.w = self.h = self.q = self.core = self.at = None
 
 
-def _basis(plan, f, whole=True):
-    """The mode-3 basis at f, made once per (W, H, G), from B = H x_2 G
-    (J' x K x L'), made once per (H, G); B alone unless `whole`."""
-    made = plan.bases  # H, G, B, W, basis
-    if made[0] is not f.h or made[1] is not f.core:
-        made[:] = f.h, f.core, np.matmul(f.h, f.core), None, None
-    if whole and made[3] is not f.w:
-        made[3:] = f.w, _mode3_basis(f, made[2])
-    return made[4] if whole else made[2]
+def _restate(plan, f, beta):
+    """Move the step state to f's factors, remaking what a factor new to it
+    makes stale: in iterate's order, what the update before made stale."""
+    if plan.q is not f.q:
+        q = plan.q = f.q
+        plan.qt, plan.xq = np.ascontiguousarray(q.T), False
+        plan.stat = np.add.reduce(q) if beta == 1.0 else q.T @ q if beta == 2.0 else None
+    if plan.h is not f.h or plan.core is not f.core:
+        plan.h, plan.core, plan.hg, plan.basis = f.h, f.core, np.matmul(f.h, f.core), None
+    elif plan.w is not f.w:
+        plan.basis = None
+    plan.w, plan.at = f.w, None
 
 
-def _pass(plan, f, beta, losses=False, v=None):
-    """Stream the data in the plan's slabs. Per slab: its model from the
-    mode-3 basis (at beta=2 only for the loss), its loss if `losses`, and
-    its MU terms t: n alone at beta 1 and 2, where d is all ones or the
-    model, else n and d stacked. Given the mode-3 basis `v`, return the sum
-    of ``t^T v[rows]`` over the slabs, added in place in slab order; else
-    return T Q, each slab's ``t Q`` written into its rows of the plan's
-    buffer `tq`. At beta=2 T Q is X Q, kept per Q, so a pass without the
-    loss at a Q that has it reads no data. Also return the loss or None. A
-    new Q gets `at_q`: Q, Q^T, X Q, Q's column sums at beta=1, Q^T Q at 2."""
-    q = f.q
-    if plan.at_q[0] is not q:  # Q, Q^T, X Q (made by a beta=2 pass) and Q's statistic, once per Q
-        plan.at_q = [q, np.ascontiguousarray(q.T), None,
-                     np.add.reduce(q) if beta == 1.0 else q.T @ q if beta == 2.0 else None]
-    at_q = plan.at_q
-    made = beta == 2.0 and v is None and at_q[2] is not None
-    if made and not losses:
-        return at_q[2], None
-    tq = plan.tq
-    if tq is None:  # once per plan, which serves one beta and one core shape
-        tq = plan.tq = np.empty((() if beta in (1.0, 2.0) else (2,)) + (len(plan.x3), q.shape[1]))
-    basis = None if beta == 2.0 and not losses else _basis(plan, f)  # at beta=2 the MU terms are the data
-    shared = losses and beta == 1.0  # the loss reads mode 1's x/m
-    nd, loss = None, 0.0 if losses else None
-    for r, rows, xs, x_term, m, s, ms in plan.slabs:
-        if basis is not None:
-            np.matmul(basis[rows], at_q[1], out=m)
-        if losses and not shared:
+def _pass(plan, beta, losses=False, mode3=False):
+    """Stream the data in the plan's slabs at the step state. Per slab: its
+    model from the mode-3 basis V (at beta=2 only for the loss), its loss if
+    `losses`, and its MU terms t: n alone at beta 1 and 2, where d is all
+    ones or the model, else n and d stacked. For mode 3, return the sum of
+    ``t^T V[rows]`` over the slabs, added in place in slab order. Else write
+    each slab's ``t Q`` into its rows of the T Q buffer and return the loss
+    (0 without `losses`). At beta=2 T Q is X Q, kept per Q, so a pass
+    without the loss at a Q that has it reads no data."""
+    basis, write, model = plan.basis, not (mode3 or plan.xq), losses or beta != 2.0
+    if basis is None and (model or mode3):  # at beta=2 the MU terms are the data
+        hg = plan.hg
+        basis = plan.basis = (plan.w @ hg.reshape(len(hg), -1)).reshape(-1, hg.shape[2])
+    nd, loss = None, 0.0
+    for rows, xs, x_term, m, s, ms, out in plan.slabs if write or losses or mode3 else ():
+        if model:
+            np.matmul(basis[rows], plan.qt, out=m)
+        if losses and beta != 1.0:
             loss += objective(xs, m, beta, s, x_term)
         # n and d are made in place in m and s
         if beta == 2.0:
@@ -233,96 +232,94 @@ def _pass(plan, f, beta, losses=False, v=None):
             np.multiply(m, s, out=m)
             np.multiply(s, xs, out=s)
             t = ms[::-1]  # n in s, d in m
-        if v is not None:
-            part = t.swapaxes(-1, -2) @ v[rows]
+        if mode3:
+            part = t.swapaxes(-1, -2) @ basis[rows]
             nd = part if nd is None else np.add(nd, part, out=nd)
-        elif not made:
-            np.matmul(t, q, out=tq[..., rows, :])
-        if shared:  # the loss takes its log of x/m in s, once t Q has read it
+        elif write:
+            np.matmul(t, plan.q, out=out)
+        if losses and beta == 1.0:  # the loss takes its log of x/m in s, once t Q has read it
             loss += objective(xs, m, beta, s, x_term, ratio_in_out=True)
-    if beta == 2.0 and v is None:
-        at_q[2] = tq
-    return (tq if v is None else nd), loss
+    if not mode3:  # at beta=2 the buffer now holds X Q
+        plan.xq = beta == 2.0
+    return nd if mode3 else loss
 
 
-def _scale(u, num, den, cfg):
-    """u times the MU ratio num/den raised to gamma(beta), clamped."""
-    ratio = num / den
-    gamma = gamma_exponent(cfg.beta)
-    if gamma != 1.0:
-        ratio **= gamma
-    ratio *= u
-    return np.maximum(ratio, cfg.epsilon, out=ratio)
-
-
-def _mode1_terms(plan, f, beta, losses=False):
-    """Fill the plan's slot with ``(f, B, nd)``: mode 1's MU products at `f`,
-    n (and d, stacked) as :func:`_pass` makes them, which mode 1 reads only
-    at that `f`. Return the loss if `losses`."""
-    b = _basis(plan, f, whole=False)
-    tq, loss = _pass(plan, f, beta, losses)  # T Q as J x (K*L')
-    nd = tq.reshape(tq.shape[:-2] + (len(f.w), -1)) @ b.reshape(len(b), -1).T
-    plan.slot = f, b, nd, plan.at_q[3]
+def _loss_pass(plan, f, beta):
+    """The loss at `f`, from one slab pass whose T Q mode 1 at `f` then reads."""
+    _restate(plan, f, beta)
+    loss = _pass(plan, beta, losses=True)
+    plan.at = f
     return loss
 
 
 def update_mode_factor(x, f, mode, cfg, plan=None):
     """One multiplicative update of the factor for `mode`. `plan`, made if
-    omitted, is the :class:`_Plan` of `x`, whose slot and products serve where valid."""
-    j, k, _ = x.shape
-    plan = _Plan(x) if plan is None else plan
+    omitted, is the :class:`_Plan` of `x`; its step state moves to f's
+    factors, and mode 1 reads the T Q that a loss pass at `f` left."""
+    beta = cfg.beta
+    plan = _Plan(x, f, cfg) if plan is None else plan
     if mode == 3:  # x.reshape(J*K, L) ~ V Q^T with V the mode-3 basis
-        v = _basis(plan, f)
-        nd, _ = _pass(plan, f, cfg.beta, v=v)
-        num, den = (nd, None) if cfg.beta in (1.0, 2.0) else nd
-        if cfg.beta == 2.0:
+        _restate(plan, f, beta)
+        nd = _pass(plan, beta, mode3=True)
+        u, v, (num, den) = f.q, plan.basis, (nd, None) if beta in (1.0, 2.0) else nd
+        if beta == 2.0:
             den = f.q @ (v.T @ v)
-        return _scale(f.q, num, np.add.reduce(v) if den is None else den, cfg)
-    # x ~ U V with V[a,n,l] = sum_c B[a,n,c] Q[l,c]: contract T Q with B
-    if mode == 1:  # B = H x_2 G, J' x K x L'
-        if plan.slot is None or plan.slot[0] is not f:
-            _mode1_terms(plan, f, cfg.beta)
-        u, (_, b, nd, qs) = f.w, plan.slot  # Q's statistic made at the slot's Q
-    elif mode == 2:  # B = W x_1 G, K' x J x L', in one product
-        u, b = f.h, np.matmul(f.w, f.core.transpose(1, 0, 2))
-        tq, _ = _pass(plan, f, cfg.beta)
-        lead = tq.shape[:-2]  # T Q as K x (J*L'), a copy
-        tq = tq.reshape(lead + (j, k, -1)).swapaxes(-3, -2).reshape(lead + (k, -1))
-        nd, qs = tq @ b.reshape(len(b), -1).T, plan.at_q[3]
-    else:
-        raise ValueError(f"mode must be 1, 2 or 3, got {mode!r}")
-    num, den = (nd, None) if cfg.beta in (1.0, 2.0) else nd
-    if cfg.beta == 2.0:  # V V^T = B (Q^T Q) B^T, at core size
-        den = u @ ((b @ qs).reshape(len(b), -1) @ b.reshape(len(b), -1).T)
-    elif den is None:  # qs: Q's column sums
-        den = np.add.reduce(b, axis=1) @ qs
-    return _scale(u, num, den, cfg)
+        elif den is None:  # V's column sums
+            den = np.add.reduce(v)
+    else:  # x ~ U V with V[a,n,l] = sum_c B[a,n,c] Q[l,c]: contract T Q with B
+        if mode == 1:  # B = H x_2 G, J' x K x L'
+            if plan.at is not f:  # else the loss pass at f left its T Q
+                _restate(plan, f, beta)
+                _pass(plan, beta)
+            u, b, tq = f.w, plan.hg, plan.tq1  # T Q as J x (K*L')
+        elif mode == 2:  # B = W x_1 G, K' x J x L', in one product
+            _restate(plan, f, beta)
+            _pass(plan, beta)
+            u, b, tq = f.h, np.matmul(f.w, f.core.transpose(1, 0, 2)), plan.tq
+            tq = tq.swapaxes(-3, -2).reshape(tq.shape[:-3] + (len(u), -1))  # K x (J*L'), a copy
+        else:
+            raise ValueError(f"mode must be 1, 2 or 3, got {mode!r}")
+        nd = tq @ b.reshape(len(b), -1).T
+        num, den = (nd, None) if beta in (1.0, 2.0) else nd
+        if beta == 2.0:  # V V^T = B (Q^T Q) B^T, at core size
+            den = u @ ((b @ plan.stat).reshape(len(b), -1) @ b.reshape(len(b), -1).T)
+        elif den is None:  # Q's column sums
+            den = np.add.reduce(b, axis=1) @ plan.stat
+    ratio = num / den  # u times num/den to the power gamma(beta), clamped
+    if plan.gamma != 1.0:
+        ratio **= plan.gamma
+    ratio *= u
+    return np.maximum(ratio, cfg.epsilon, out=ratio)
 
 
 def update_core(x, f, cfg, plan=None):
     """One multiplicative update of the core: the products with the
     transposed Kronecker matrix contract the MU terms with Q, H and W in
     turn. `plan` is as for :func:`update_mode_factor`."""
-    j, k = x.shape[:2]
-    shape = f.core.shape
-    plan = _Plan(x) if plan is None else plan
-    tq, _ = _pass(plan, f, cfg.beta)
-    lead = tq.shape[:-2]
-    th = np.matmul(f.h.T, tq.reshape(lead + (j, k, shape[2])))  # J x K' x L'
-    nd = (f.w.T @ th.reshape(lead + (j, -1))).reshape(lead + shape)
-    num, den = (nd, None) if cfg.beta in (1.0, 2.0) else nd
-    if cfg.beta == 2.0:  # G x_1 W^T W x_2 H^T H x_3 Q^T Q
+    beta, shape = cfg.beta, f.core.shape
+    plan = _Plan(x, f, cfg) if plan is None else plan
+    _restate(plan, f, beta)
+    _pass(plan, beta)
+    th = np.matmul(f.h.T, plan.tq)  # J x K' x L'
+    lead = th.shape[:-3]
+    nd = (f.w.T @ th.reshape(lead + (len(f.w), -1))).reshape(lead + shape)
+    num, den = (nd, None) if beta in (1.0, 2.0) else nd
+    if beta == 2.0:  # G x_1 W^T W x_2 H^T H x_3 Q^T Q
         wg = ((f.w.T @ f.w) @ f.core.reshape(shape[0], -1)).reshape(shape)
-        den = np.matmul(f.h.T @ f.h, wg) @ plan.at_q[3]
+        den = np.matmul(f.h.T @ f.h, wg) @ plan.stat
     elif den is None:  # the outer product of the factors' column sums
-        den = (np.add.reduce(f.w)[:, None] * np.add.reduce(f.h))[:, :, None] * plan.at_q[3]
-    return _scale(f.core, num, den, cfg)
+        den = (np.add.reduce(f.w)[:, None] * np.add.reduce(f.h))[:, :, None] * plan.stat
+    ratio = num / den  # as in update_mode_factor
+    if plan.gamma != 1.0:
+        ratio **= plan.gamma
+    ratio *= f.core
+    return np.maximum(ratio, cfg.epsilon, out=ratio)
 
 
 def iterate(x, f, cfg, plan=None):
     """One full outer loop: update W, H, Q in order, then the core, all with
     one `plan` (:func:`update_mode_factor`), made if omitted."""
-    plan = _Plan(x) if plan is None else plan
+    plan = _Plan(x, f, cfg) if plan is None else plan
     f = FactorSet(update_mode_factor(x, f, 1, cfg, plan=plan), f.h, f.q, f.core)
     f = FactorSet(f.w, update_mode_factor(x, f, 2, cfg, plan=plan), f.q, f.core)
     f = FactorSet(f.w, f.h, update_mode_factor(x, f, 3, cfg, plan=plan), f.core)
@@ -366,8 +363,8 @@ def solve(x, cfg, init=None):
 
     f = init_factors(x.shape, cfg) if init is None else _checked_copy(init, x.shape, cfg.core_dims)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss raises below
-        plan = _Plan(x, cfg.beta)
-        loss = _mode1_terms(plan, f, cfg.beta, losses=True)  # also the next mode 1's products
+        plan = _Plan(x, f, cfg, losses=True)
+        loss = _loss_pass(plan, f, cfg.beta)  # its T Q is the next mode 1's
     trace = LossTrace([loss])
     if not math.isfinite(loss):
         raise NumericalDomainError("non-finite loss at the starting point")
@@ -377,7 +374,7 @@ def solve(x, cfg, init=None):
         t0 = time.perf_counter()
         f = iterate(x, f, cfg, plan)
         if evaluated := (it % cfg.loss_eval_period == 0 or it == cfg.max_iters):
-            loss = _mode1_terms(plan, f, cfg.beta, losses=True)
+            loss = _loss_pass(plan, f, cfg.beta)
             if not math.isfinite(loss):
                 raise NumericalDomainError(f"non-finite loss at iteration {it}")
             trace.losses.append(loss)

@@ -389,17 +389,17 @@ class TestSolve:
         assert len(trace.iter_times) == 10
         assert len(trace.losses) == 3  # initial + iterations 5 and 10
 
-    # the sleeps in each iteration: mode 1 makes its products unless the
-    # previous loss pass made them, and each loss pass makes the next ones
-    @pytest.mark.parametrize("period, sleeps", [(1, [1, 1, 1]), (3, [0, 1, 2])])
+    # the sleeps in each iteration: one per loss pass, which runs after
+    # every iteration at period 1 and after the third at period 3
+    @pytest.mark.parametrize("period, sleeps", [(1, [1, 1, 1]), (3, [0, 0, 1])])
     def test_iteration_time_includes_its_loss_pass(self, period, sleeps, monkeypatch):
-        make = beta_ntd.solver._mode1_terms
+        make = beta_ntd.solver._loss_pass
 
         def slow(*args, **kwargs):
             time.sleep(0.01)
             return make(*args, **kwargs)
 
-        monkeypatch.setattr(beta_ntd.solver, "_mode1_terms", slow)
+        monkeypatch.setattr(beta_ntd.solver, "_loss_pass", slow)
         x = np.random.default_rng(26).uniform(0.1, 1.0, (4, 4, 4))
         cfg = SolverConfig(core_dims=(2, 2, 2), max_iters=3, rel_tol=0.0, loss_eval_period=period)
         times = solve(x, cfg)[1].iter_times
@@ -507,6 +507,18 @@ def test_solve_bit_identical_to_repeated_iterate(beta, period):
         np.testing.assert_array_equal(ours, public)
 
 
+class _Counted:
+    """A plan's slabs, iterated as they are, that note each slab read in `read`."""
+
+    def __init__(self, slabs, read):
+        self.slabs, self.read = slabs, read
+
+    def __iter__(self):
+        for slab in self.slabs:
+            self.read.append(slab)
+            yield slab
+
+
 class TestSlabs:
     """Data cut into several slabs, the last one thinner: 7 mode-1 slices of
     3 x 4 entries in slabs of 2 slices."""
@@ -564,22 +576,23 @@ class TestSlabs:
 
     @pytest.mark.parametrize("beta", BETAS)
     def test_passes_leave_the_kept_products_unchanged(self, beta):
-        # each pass below reads what the loss pass at f kept: mode 1's
-        # products, H x_2 G, the mode-3 basis, Q^T, (beta=2) X Q, which is
-        # the plan's T Q buffer, and Q's statistic (beta 1 and 2); a pass that
-        # wrote its T Q, or added mode 3's shares, into one of them would change it
+        # each pass below reads what the loss pass at f left in the step
+        # state: H x_2 G, the mode-3 basis, Q^T, Q's statistic (beta 1 and
+        # 2) and the T Q buffer, which mode 1 at f reads and which is X Q at
+        # beta=2; a pass that wrote its T Q, or added mode 3's shares, into
+        # one of them, or into the data, would change it
         x, f, cfg = _instance((7, 3, 4), (3, 2, 2), beta, seed=39)
-        plan = beta_ntd.solver._Plan(x, beta)
-        beta_ntd.solver._mode1_terms(plan, f, beta, losses=True)
+        plan = beta_ntd.solver._Plan(x, f, cfg, losses=True)
+        beta_ntd.solver._loss_pass(plan, f, beta)
 
         def kept():
-            return [a for a in (*plan.slot[1:], *plan.bases, *plan.at_q, plan.x3) if a is not None]
+            return [a for a in (plan.hg, plan.basis, plan.qt, plan.stat, plan.tq, x) if a is not None]
 
-        assert (plan.at_q[2] is not None) == (beta == 2.0)
+        assert plan.at is f and plan.xq == (beta == 2.0)
         stat = {1.0: np.add.reduce(f.q), 2.0: f.q.T @ f.q}.get(beta)
-        assert plan.slot[3] is plan.at_q[3] and (plan.at_q[3] is None) == (stat is None)
+        assert (plan.stat is None) == (stat is None)
         if stat is not None:
-            np.testing.assert_array_equal(plan.at_q[3], stat)
+            np.testing.assert_array_equal(plan.stat, stat)
         made, before = kept(), [a.tobytes() for a in kept()]
         for mode in (1, 2, 3):
             update_mode_factor(x, f, mode, cfg, plan)
@@ -591,17 +604,10 @@ class TestSlabs:
         # the loss pass at f makes X Q at f's Q, which mode 2 at that Q reads
         # without a pass over the data; at another Q, mode 2 makes its own
         x, f, cfg = _instance((7, 3, 4), (3, 2, 2), 2.0, seed=40)
-        plan = beta_ntd.solver._Plan(x, 2.0)
-        slabs, read = plan.slabs, []
-
-        class Counted:
-            def __iter__(self):
-                for slab in slabs:
-                    read.append(slab)
-                    yield slab
-
-        plan.slabs = Counted()
-        beta_ntd.solver._mode1_terms(plan, f, 2.0, losses=True)
+        plan = beta_ntd.solver._Plan(x, f, cfg, losses=True)
+        read = []
+        plan.slabs = _Counted(plan.slabs, read)
+        beta_ntd.solver._loss_pass(plan, f, 2.0)
         assert len(read) == 4
         ours = update_mode_factor(x, f, 2, cfg, plan)
         assert len(read) == 4
@@ -609,6 +615,27 @@ class TestSlabs:
         q = init_factors(x.shape, replace(cfg, seed=41)).q
         update_mode_factor(x, FactorSet(f.w, f.h, q, f.core), 2, cfg, plan)
         assert len(read) == 8
+
+    @pytest.mark.parametrize("period", [1, 3])
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_a_solve_reads_the_data_once_per_pass_it_needs(self, beta, period, monkeypatch):
+        # 6 iterations after the first loss pass: at beta != 2 mode 2, mode 3
+        # and the core each read the data, and so does either the loss pass
+        # before mode 1 or mode 1 itself, 1 + 4 * 6 passes; at beta=2 mode 1
+        # and mode 2 read the X Q that the loss pass or the core's pass left,
+        # so mode 3, the core and each loss pass read it, 1 + 6 * 2 + losses
+        read = []
+
+        class Plan(beta_ntd.solver._Plan):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.slabs = _Counted(self.slabs, read)
+
+        monkeypatch.setattr(beta_ntd.solver, "_Plan", Plan)
+        x, init, cfg = _instance((7, 3, 4), (3, 2, 2), beta, seed=43)
+        solve(x, replace(cfg, max_iters=6, rel_tol=0.0, loss_eval_period=period), init=init)
+        budget = 25 if beta != 2.0 else 19 if period == 1 else 15
+        assert len(read) == 4 * budget  # a pass reads all 4 slabs
 
     @pytest.mark.parametrize("beta", BETAS)
     def test_last_loss_matches_public_objective(self, beta):
@@ -642,53 +669,61 @@ class TestSlabs:
 
     @pytest.mark.parametrize("beta", BETAS)
     def test_slot_serves_only_the_factors_it_was_made_at(self, beta, monkeypatch):
-        # a loss pass at f fills the plan's slot: mode 1 at f reads it, and an
-        # update at other factors, or mode 2 at another Q, equals a plan-less one
-        make = beta_ntd.solver._mode1_terms
+        # a loss pass at f leaves its T Q in the plan: mode 1 at f reads it
+        # without a pass, and an update at other factors, or mode 2 at
+        # another Q, makes its own pass at its own factors and equals a plan-less one
+        make, loss_pass = beta_ntd.solver._pass, beta_ntd.solver._loss_pass
         x, f, cfg = _instance((7, 3, 4), (3, 2, 2), beta, seed=33)
         g = init_factors(x.shape, replace(cfg, seed=34))
-        plan = beta_ntd.solver._Plan(x, beta)
-        made_at = []  # the factors of each mode-1 pass made with `plan`
+        plan = beta_ntd.solver._Plan(x, f, cfg, losses=True)
+        made_at = []  # the step state's factors at each update's pass with `plan`
 
-        def counted(p, at, *args, **kwargs):
-            if p is plan:
-                made_at.append(at)
-            return make(p, at, *args, **kwargs)
+        def counted(p, *args, **kwargs):
+            if p is plan and not kwargs.get("losses"):
+                made_at.append((p.w, p.h, p.q, p.core))
+            return make(p, *args, **kwargs)
 
-        monkeypatch.setattr(beta_ntd.solver, "_mode1_terms", counted)
-        make(plan, f, beta, losses=True)
+        monkeypatch.setattr(beta_ntd.solver, "_pass", counted)
+        loss_pass(plan, f, beta)
         update_mode_factor(x, f, 1, cfg, plan)
         assert made_at == []
-        for mode, h in ((1, g), (2, g), (2, FactorSet(g.w, f.h, g.q, f.core))):
-            make(plan, f, beta, losses=True)
+        mixes = (1, g), (2, g), (2, FactorSet(g.w, f.h, g.q, f.core))
+        for mode, h in mixes:
+            loss_pass(plan, f, beta)
             ours = update_mode_factor(x, h, mode, cfg, plan)
             np.testing.assert_array_equal(ours, update_mode_factor(x, h, mode, cfg))
-        assert made_at == [g]
+        assert len(made_at) == 3
+        for at, (_, h) in zip(made_at, mixes):
+            assert all(a is b for a, b in zip(at, (h.w, h.h, h.q, h.core)))
 
     @pytest.mark.parametrize("beta", BETAS)
     def test_products_serve_only_the_factors_they_were_made_at(self, beta):
-        # a loss pass at f keeps H x_2 G, the mode-3 basis, Q^T, (beta=2)
-        # X Q and Q's statistic in the plan, and a core pass keeps X Q and the
-        # statistic at its Q: an update at factors that share some of f's,
-        # and at none, equals a plan-less one bit for bit, and so does mode 1
-        # at f once the plan has moved to another Q
+        # a loss pass at f leaves H x_2 G, the mode-3 basis, Q^T, (beta=2)
+        # X Q and Q's statistic in the step state, and a core pass moves it to
+        # its Q: an update at factors that share some of f's, and at none,
+        # equals a plan-less one bit for bit, and so does mode 1 at f once
+        # the state has moved to another Q
         x, f, cfg = _instance((7, 3, 4), (3, 2, 2), beta, seed=35)
         g = init_factors(x.shape, replace(cfg, seed=36))
-        plan = beta_ntd.solver._Plan(x, beta)
+        plan = beta_ntd.solver._Plan(x, f, cfg, losses=True)
         mixes = [FactorSet(g.w, f.h, f.q, f.core), FactorSet(f.w, g.h, f.q, f.core),
                  FactorSet(f.w, f.h, g.q, f.core), FactorSet(f.w, f.h, f.q, g.core), g]
         for h in mixes:
             for update in (1, 2, 3, "core", 3, 2):
-                beta_ntd.solver._mode1_terms(plan, f, beta, losses=True)
+                beta_ntd.solver._loss_pass(plan, f, beta)
                 if update == "core":
                     update_core(x, FactorSet(f.w, f.h, h.q, f.core), cfg, plan)
                     np.testing.assert_array_equal(update_core(x, h, cfg, plan), update_core(x, h, cfg))
                 else:
                     ours = update_mode_factor(x, h, update, cfg, plan)
                     np.testing.assert_array_equal(ours, update_mode_factor(x, h, update, cfg))
-        beta_ntd.solver._mode1_terms(plan, f, beta, losses=True)
+            beta_ntd.solver._loss_pass(plan, f, beta)
+            for update in (3, 2):  # mode 2 right after mode 3, both at h
+                ours = update_mode_factor(x, h, update, cfg, plan)
+                np.testing.assert_array_equal(ours, update_mode_factor(x, h, update, cfg))
+        beta_ntd.solver._loss_pass(plan, f, beta)
         update_core(x, FactorSet(f.w, f.h, g.q, f.core), cfg, plan)
-        assert plan.at_q[0] is g.q and plan.slot[0] is f
+        assert plan.q is g.q and plan.at is None
         np.testing.assert_array_equal(update_mode_factor(x, f, 1, cfg, plan), update_mode_factor(x, f, 1, cfg))
 
     @pytest.mark.parametrize("beta", BETAS)
@@ -697,48 +732,51 @@ class TestSlabs:
         # are made once, for mode 3's new Q, and read by the core; none at other beta
         make = beta_ntd.solver._pass
         x, f, cfg = _instance((7, 3, 4), (3, 2, 2), beta, seed=42)
-        plan = beta_ntd.solver._Plan(x, beta)
-        beta_ntd.solver._mode1_terms(plan, f, beta, losses=True)
-        seen = [plan.at_q]  # each list of Q's products, made once per Q
+        plan = beta_ntd.solver._Plan(x, f, cfg, losses=True)
+        beta_ntd.solver._loss_pass(plan, f, beta)
+        seen = [(plan.q, plan.stat)]  # each Q of the step state and its statistic
 
         def counted(p, *args, **kwargs):
             out = make(p, *args, **kwargs)
-            if p.at_q is not seen[-1]:
-                seen.append(p.at_q)
+            if p.q is not seen[-1][0] or p.stat is not seen[-1][1]:
+                seen.append((p.q, p.stat))
             return out
 
         monkeypatch.setattr(beta_ntd.solver, "_pass", counted)
         g = iterate(x, f, cfg, plan)
         assert len(seen) == 2 and seen[0][0] is f.q and seen[1][0] is g.q
         stat = {1.0: np.add.reduce, 2.0: lambda q: q.T @ q}.get(beta)
-        for at_q in seen:
+        for q, made in seen:
             if stat is None:
-                assert at_q[3] is None
+                assert made is None
             else:
-                np.testing.assert_array_equal(at_q[3], stat(at_q[0]))
+                np.testing.assert_array_equal(made, stat(q))
 
     @pytest.mark.parametrize("beta", BETAS)
     def test_one_iterate_builds_the_mode3_basis_per_new_factors(self, beta, monkeypatch):
         # after the loss pass at f, mode 2 builds the basis for its model
         # (none at beta=2) and mode 3 for its products; the core pass reuses mode 3's
-        make = beta_ntd.solver._mode3_basis
-        built = []
-
-        def counted(at, *args):
-            built.append((at.w, at.h, at.core))
-            return make(at, *args)
-
-        monkeypatch.setattr(beta_ntd.solver, "_mode3_basis", counted)
+        make = beta_ntd.solver._pass
         x, f, cfg = _instance((7, 3, 4), (3, 2, 2), beta, seed=37)
-        plan = beta_ntd.solver._Plan(x, beta)
-        beta_ntd.solver._mode1_terms(plan, f, beta, losses=True)
+        plan = beta_ntd.solver._Plan(x, f, cfg, losses=True)
+        bases, built = [None], []  # each basis in the step state, and its factors
+
+        def counted(p, *args, **kwargs):
+            out = make(p, *args, **kwargs)
+            if p.basis is not None and p.basis is not bases[-1]:
+                bases.append(p.basis)
+                built.append((p.w, p.h, p.core))
+            return out
+
+        monkeypatch.setattr(beta_ntd.solver, "_pass", counted)
+        beta_ntd.solver._loss_pass(plan, f, beta)
         assert len(built) == 1
         g = iterate(x, f, cfg, plan)
         mode3 = (g.w, g.h, f.core)
         expected = [mode3] if beta == 2.0 else [(g.w, f.h, f.core), mode3]
         assert len(built) == 1 + len(expected)
         assert all(all(a is b for a, b in zip(made, want)) for made, want in zip(built[1:], expected))
-        beta_ntd.solver._mode1_terms(plan, g, beta, losses=True)
+        beta_ntd.solver._loss_pass(plan, g, beta)
         assert len(built) == 2 + len(expected)
 
     def test_unclamped_beta_one_with_zeros_and_a_subnormal(self):
