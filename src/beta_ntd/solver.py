@@ -3,8 +3,8 @@ Block-coordinate multiplicative updates for nonnegative Tucker
 decomposition of a third-order tensor under the beta-divergence.
 
 One outer loop updates the mode factors W, H, Q in order (each consuming
-the freshest factors) and then the core, every update ending with an
-elementwise maximum against a small constant so entries never reach zero.
+the freshest factors) and then the core. Every update is one MU step,
+u <- max(u (N/D)^gamma(beta), epsilon), so entries never reach zero.
 
 Products work on the C-order view ``X.reshape(J*K, L)`` of the data X
 (J x K x L), modelled by the mode-3 basis W (H G) times Q^T. Updates and
@@ -17,12 +17,12 @@ into the first's, in slab order. At beta=2 the denominators are in Gram
 form and only the loss builds a model. `solve` plans the slabs once, and
 the plan keeps one step state: the factors of one iterate and the
 products made from them (H x_2 G, the mode-3 basis, Q^T, Q's statistic,
-and at beta=2 X Q in the T Q buffer). Each update and the loss pass move
-the state to their own factors, remaking only what the update before
-them made stale, so each product is made once per new factor; mode 1
-reads the T Q that the loss pass left. `solve` checks the data's domain
-once, from its minimum and maximum, and at beta <= 1 raises it to
-epsilon, a normal float, copying it only when that changes an entry.
+and at beta=2 X Q in the T Q buffer). Each slab pass first moves the
+state to its update's factors, remaking only what the update before made
+stale, so each product is made once per new factor; mode 1 reads the T Q
+that the loss pass left. `solve` checks the data's domain once, from its
+minimum and maximum, and at beta <= 1 raises it to epsilon, a normal
+float, copying it only when that changes an entry.
 """
 
 import math
@@ -154,8 +154,8 @@ def _slabs(dims, entries):
 
 
 class _Plan:
-    """The slabs of data `x` and one step state, for updates under `cfg` of
-    factors shaped as `f`'s.
+    """The slabs of data `x` and one step state, for updates of factors
+    shaped as `f`'s at cfg's `beta`, `eps` (epsilon) and `gamma` = gamma(beta).
 
     Per slab: its rows of ``x.reshape(J*K, L)``, their view, its data term
     (if the plan evaluates `losses`), its model and scratch views, apart and
@@ -172,6 +172,7 @@ class _Plan:
 
     def __init__(self, x, f, cfg, losses=False):
         (j, k, l), beta = x.shape, cfg.beta
+        self.beta, self.eps, self.gamma = beta, cfg.epsilon, gamma_exponent(beta)
         self.tq = np.empty((() if beta in (1.0, 2.0) else (2,)) + (j, k, f.q.shape[1]))
         self.tq1, tq2 = (self.tq.reshape(self.tq.shape[:-3] + d) for d in ((j, -1), (j * k, -1)))
         x3 = x.reshape(-1, l)
@@ -179,13 +180,20 @@ class _Plan:
         pair = np.empty((2,) + cuts[0][2].shape)
         self.slabs = [(rows, xs, data_term(x[r], beta) if losses else None, *pair[:, :len(xs)],
                        pair[:, :len(xs)], tq2[..., rows, :]) for r, rows, xs in cuts]
-        self.gamma = gamma_exponent(beta)
         self.w = self.h = self.q = self.core = self.at = None
 
 
-def _restate(plan, f, beta):
+def _pass(plan, f, losses=False, mode3=False):
     """Move the step state to f's factors, remaking what a factor new to it
-    makes stale: in iterate's order, what the update before made stale."""
+    makes stale, then stream the data in the plan's slabs. Per slab: its
+    model from the mode-3 basis V (at beta=2 only for the loss), its loss if
+    `losses`, and its MU terms t: n alone at beta 1 and 2, where d is all
+    ones or the model, else n and d stacked. For mode 3, return the sum of
+    ``t^T V[rows]`` over the slabs, added in place in slab order. Else write
+    each slab's ``t Q`` into its rows of the T Q buffer and return the loss
+    (0 without `losses`); a loss pass leaves `plan.at` = f. At beta=2 T Q is
+    X Q, kept per Q, so a pass without the loss at a Q that has it reads no data."""
+    beta = plan.beta
     if plan.q is not f.q:
         q = plan.q = f.q
         plan.qt, plan.xq = np.ascontiguousarray(q.T), False
@@ -194,18 +202,7 @@ def _restate(plan, f, beta):
         plan.h, plan.core, plan.hg, plan.basis = f.h, f.core, np.matmul(f.h, f.core), None
     elif plan.w is not f.w:
         plan.basis = None
-    plan.w, plan.at = f.w, None
-
-
-def _pass(plan, beta, losses=False, mode3=False):
-    """Stream the data in the plan's slabs at the step state. Per slab: its
-    model from the mode-3 basis V (at beta=2 only for the loss), its loss if
-    `losses`, and its MU terms t: n alone at beta 1 and 2, where d is all
-    ones or the model, else n and d stacked. For mode 3, return the sum of
-    ``t^T V[rows]`` over the slabs, added in place in slab order. Else write
-    each slab's ``t Q`` into its rows of the T Q buffer and return the loss
-    (0 without `losses`). At beta=2 T Q is X Q, kept per Q, so a pass
-    without the loss at a Q that has it reads no data."""
+    plan.w, plan.at = f.w, f if losses else None
     basis, write, model = plan.basis, not (mode3 or plan.xq), losses or beta != 2.0
     if basis is None and (model or mode3):  # at beta=2 the MU terms are the data
         hg = plan.hg
@@ -244,76 +241,63 @@ def _pass(plan, beta, losses=False, mode3=False):
     return nd if mode3 else loss
 
 
-def _loss_pass(plan, f, beta):
-    """The loss at `f`, from one slab pass whose T Q mode 1 at `f` then reads."""
-    _restate(plan, f, beta)
-    loss = _pass(plan, beta, losses=True)
-    plan.at = f
-    return loss
-
-
-def update_mode_factor(x, f, mode, cfg, plan=None):
-    """One multiplicative update of the factor for `mode`. `plan`, made if
-    omitted, is the :class:`_Plan` of `x`; its step state moves to f's
-    factors, and mode 1 reads the T Q that a loss pass at `f` left."""
-    beta = cfg.beta
-    plan = _Plan(x, f, cfg) if plan is None else plan
-    if mode == 3:  # x.reshape(J*K, L) ~ V Q^T with V the mode-3 basis
-        _restate(plan, f, beta)
-        nd = _pass(plan, beta, mode3=True)
-        u, v, (num, den) = f.q, plan.basis, (nd, None) if beta in (1.0, 2.0) else nd
-        if beta == 2.0:
-            den = f.q @ (v.T @ v)
-        elif den is None:  # V's column sums
-            den = np.add.reduce(v)
-    else:  # x ~ U V with V[a,n,l] = sum_c B[a,n,c] Q[l,c]: contract T Q with B
-        if mode == 1:  # B = H x_2 G, J' x K x L'
-            if plan.at is not f:  # else the loss pass at f left its T Q
-                _restate(plan, f, beta)
-                _pass(plan, beta)
-            u, b, tq = f.w, plan.hg, plan.tq1  # T Q as J x (K*L')
-        elif mode == 2:  # B = W x_1 G, K' x J x L', in one product
-            _restate(plan, f, beta)
-            _pass(plan, beta)
-            u, b, tq = f.h, np.matmul(f.w, f.core.transpose(1, 0, 2)), plan.tq
-            tq = tq.swapaxes(-3, -2).reshape(tq.shape[:-3] + (len(u), -1))  # K x (J*L'), a copy
-        else:
-            raise ValueError(f"mode must be 1, 2 or 3, got {mode!r}")
-        nd = tq @ b.reshape(len(b), -1).T
-        num, den = (nd, None) if beta in (1.0, 2.0) else nd
-        if beta == 2.0:  # V V^T = B (Q^T Q) B^T, at core size
-            den = u @ ((b @ plan.stat).reshape(len(b), -1) @ b.reshape(len(b), -1).T)
-        elif den is None:  # Q's column sums
-            den = np.add.reduce(b, axis=1) @ plan.stat
-    ratio = num / den  # u times num/den to the power gamma(beta), clamped
+def _mu(plan, u, nd, den):
+    """The MU step: u times N/D to the power gamma(beta), clamped at epsilon.
+    N and D are `nd` stacked where `den` is None, else `nd` and `den`."""
+    num, den = nd if den is None else (nd, den)
+    ratio = num / den
     if plan.gamma != 1.0:
         ratio **= plan.gamma
     ratio *= u
-    return np.maximum(ratio, cfg.epsilon, out=ratio)
+    return np.maximum(ratio, plan.eps, out=ratio)
+
+
+def update_mode_factor(x, f, mode, cfg, plan=None):
+    """One multiplicative update of the factor for `mode`. `plan`, made from
+    `cfg` if omitted, is the :class:`_Plan` of `x` whose beta and epsilon the
+    update uses; its step state moves to f's factors, and mode 1 reads the
+    T Q that a loss pass at `f` left."""
+    plan = _Plan(x, f, cfg) if plan is None else plan
+    beta = plan.beta
+    if mode == 3:  # x.reshape(J*K, L) ~ V Q^T with V the mode-3 basis
+        nd, v = _pass(plan, f, mode3=True), plan.basis
+        den = f.q @ (v.T @ v) if beta == 2.0 else np.add.reduce(v) if beta == 1.0 else None
+        return _mu(plan, f.q, nd, den)  # D: Q (V^T V) at beta=2, V's column sums at 1
+    # x ~ U V with V[a,n,l] = sum_c B[a,n,c] Q[l,c]: contract T Q with B
+    if mode == 1:  # B = H x_2 G, J' x K x L'
+        if plan.at is not f:  # else the loss pass at f left its T Q
+            _pass(plan, f)
+        u, b, tq = f.w, plan.hg, plan.tq1  # T Q as J x (K*L')
+    elif mode == 2:  # B = W x_1 G, K' x J x L', in one product
+        _pass(plan, f)
+        u, b, tq = f.h, np.matmul(f.w, f.core.transpose(1, 0, 2)), plan.tq
+        tq = tq.swapaxes(-3, -2).reshape(tq.shape[:-3] + (len(u), -1))  # K x (J*L'), a copy
+    else:
+        raise ValueError(f"mode must be 1, 2 or 3, got {mode!r}")
+    nd, den = tq @ b.reshape(len(b), -1).T, None
+    if beta == 2.0:  # V V^T = B (Q^T Q) B^T, at core size
+        den = u @ ((b @ plan.stat).reshape(len(b), -1) @ b.reshape(len(b), -1).T)
+    elif beta == 1.0:  # Q's column sums
+        den = np.add.reduce(b, axis=1) @ plan.stat
+    return _mu(plan, u, nd, den)
 
 
 def update_core(x, f, cfg, plan=None):
     """One multiplicative update of the core: the products with the
     transposed Kronecker matrix contract the MU terms with Q, H and W in
     turn. `plan` is as for :func:`update_mode_factor`."""
-    beta, shape = cfg.beta, f.core.shape
     plan = _Plan(x, f, cfg) if plan is None else plan
-    _restate(plan, f, beta)
-    _pass(plan, beta)
+    beta, shape = plan.beta, f.core.shape
+    _pass(plan, f)
     th = np.matmul(f.h.T, plan.tq)  # J x K' x L'
     lead = th.shape[:-3]
-    nd = (f.w.T @ th.reshape(lead + (len(f.w), -1))).reshape(lead + shape)
-    num, den = (nd, None) if beta in (1.0, 2.0) else nd
+    nd, den = (f.w.T @ th.reshape(lead + (len(f.w), -1))).reshape(lead + shape), None
     if beta == 2.0:  # G x_1 W^T W x_2 H^T H x_3 Q^T Q
         wg = ((f.w.T @ f.w) @ f.core.reshape(shape[0], -1)).reshape(shape)
         den = np.matmul(f.h.T @ f.h, wg) @ plan.stat
-    elif den is None:  # the outer product of the factors' column sums
+    elif beta == 1.0:  # the outer product of the factors' column sums
         den = (np.add.reduce(f.w)[:, None] * np.add.reduce(f.h))[:, :, None] * plan.stat
-    ratio = num / den  # as in update_mode_factor
-    if plan.gamma != 1.0:
-        ratio **= plan.gamma
-    ratio *= f.core
-    return np.maximum(ratio, cfg.epsilon, out=ratio)
+    return _mu(plan, f.core, nd, den)
 
 
 def iterate(x, f, cfg, plan=None):
@@ -362,25 +346,25 @@ def solve(x, cfg, init=None):
         check_domain(x, None, cfg.beta)  # raises, naming the first bad index
 
     f = init_factors(x.shape, cfg) if init is None else _checked_copy(init, x.shape, cfg.core_dims)
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss raises below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # a non-finite loss raises
         plan = _Plan(x, f, cfg, losses=True)
-        loss = _loss_pass(plan, f, cfg.beta)  # its T Q is the next mode 1's
-    trace = LossTrace([loss])
-    if not math.isfinite(loss):
-        raise NumericalDomainError("non-finite loss at the starting point")
+        loss = _pass(plan, f, losses=True)  # its T Q is the next mode 1's
+        trace = LossTrace([loss])
+        if not math.isfinite(loss):
+            raise NumericalDomainError("non-finite loss at the starting point")
 
-    last_eval = loss
-    for it in range(1, cfg.max_iters + 1):
-        t0 = time.perf_counter()
-        f = iterate(x, f, cfg, plan)
-        if evaluated := (it % cfg.loss_eval_period == 0 or it == cfg.max_iters):
-            loss = _loss_pass(plan, f, cfg.beta)
-            if not math.isfinite(loss):
-                raise NumericalDomainError(f"non-finite loss at iteration {it}")
-            trace.losses.append(loss)
-        trace.iter_times.append(time.perf_counter() - t0)  # its loss pass included
-        if evaluated and (last_eval - loss) / max(last_eval, _TINY) < cfg.rel_tol:
-            trace.converged_at = it
-            break
         last_eval = loss
+        for it in range(1, cfg.max_iters + 1):
+            t0 = time.perf_counter()
+            f = iterate(x, f, cfg, plan)
+            if evaluated := (it % cfg.loss_eval_period == 0 or it == cfg.max_iters):
+                loss = _pass(plan, f, losses=True)
+                if not math.isfinite(loss):
+                    raise NumericalDomainError(f"non-finite loss at iteration {it}")
+                trace.losses.append(loss)
+            trace.iter_times.append(time.perf_counter() - t0)  # its loss pass included
+            if evaluated and (last_eval - loss) / max(last_eval, _TINY) < cfg.rel_tol:
+                trace.converged_at = it
+                break
+            last_eval = loss
     return f, trace

@@ -2,6 +2,7 @@ import ctypes
 import dataclasses
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -623,6 +624,17 @@ class TestBench:
         assert list(out.iterdir()) == []
         assert beta_ntd.cli._blas_threads() == threads
 
+    def test_without_openblas_symbols_still_times(self, tmp_path, monkeypatch):
+        # where neither the getter nor the setter resolves, the count is unknown
+        monkeypatch.setattr(beta_ntd.cli, "_openblas", lambda *args: None)
+        out = tmp_path / "out"
+        rc = main(["bench", "--dims", "4,4,4", "--core-dims", "2,2,2", "--iters", "1",
+                   "--out", str(out)])
+        assert rc == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["timed_blas_threads"] is None
+        assert manifest["environment"]["blas_threads"] is None
+
     def test_zero_iters_rejected(self, tmp_path, capsys):
         out = tmp_path / "out"
         rc = main(["bench", "--dims", "4,4,4", "--core-dims", "2,2,2", "--iters", "0",
@@ -741,6 +753,18 @@ class TestManifest:
         assert manifests[0] == manifests[1]
 
 
+def test_openblas_missing_symbol_is_none():
+    assert beta_ntd.cli._openblas("no_such_symbol", ctypes.c_int) is None
+
+
+def test_environment_cpu_falls_back_to_the_machine(monkeypatch):
+    def no_file(*args, **kwargs):
+        raise OSError("no cpuinfo")
+
+    monkeypatch.setattr(beta_ntd.cli, "open", no_file, raising=False)  # shadows the builtin
+    assert beta_ntd.cli._environment()["cpu"] == platform.machine()
+
+
 class TestModuleEntry:
     """``python -m beta_ntd.cli`` runs the same commands as ``main``."""
 
@@ -761,6 +785,14 @@ class TestModuleEntry:
                         "--core-dims", "2,2,2", "--out", "o", cwd=tmp_path)
         assert done.returncode == EXIT_NUMERICAL, done.stderr
         assert done.stderr == "error: non-finite loss at the starting point\n"
+
+    def test_mid_run_domain_error_exit_code(self, tmp_path):
+        # a finite start whose first update overflows: the error alone, no numpy warning
+        write_tensor(tmp_path / "t.txt", np.random.default_rng(0).uniform(0, 3, (6, 5, 4)))
+        done = self.run("decompose", "t.txt", "--beta", "300", "--core-dims", "2,2,2",
+                        "--max-iters", "50", "--out", "o", cwd=tmp_path)
+        assert done.returncode == EXIT_NUMERICAL, done.stderr
+        assert done.stderr == "error: non-finite loss at iteration 1\n"
 
     def test_import_leaves_package_metadata_out(self, tmp_path):
         code = "import sys, beta_ntd.cli; print('importlib.metadata' in sys.modules)"

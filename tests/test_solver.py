@@ -257,6 +257,26 @@ class TestSolve:
             with pytest.raises(NumericalDomainError, match="^non-finite loss at the starting point$"):
                 solve(x, SolverConfig(beta=beta, core_dims=(2, 2, 2)))
 
+    def test_underflowing_start_raises_without_a_warning(self):
+        # a start of the smallest normal floats: its model underflows to 0, and 1/m divides by 0
+        tiny = np.finfo(np.float64).tiny
+        x = np.random.default_rng(0).uniform(0.1, 1.0, (4, 3, 2))
+        init = FactorSet(*(np.full(s, tiny) for s in ((4, 2), (3, 2), (2, 1), (2, 2, 1))))
+        cfg = SolverConfig(beta=0.0, epsilon=tiny, core_dims=(2, 2, 1), max_iters=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalDomainError, match="^non-finite loss at the starting point$"):
+                solve(x, cfg, init=init)
+
+    def test_overflowing_iteration_raises_without_a_warning(self):
+        # a finite start whose first update overflows: the error, not numpy's warning
+        x = np.random.default_rng(1).uniform(0.1, 1.0, (5, 4, 3))
+        cfg = SolverConfig(beta=300.0, core_dims=(2, 2, 2), max_iters=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalDomainError, match="^non-finite loss at iteration 1$"):
+                solve(x, cfg)
+
     def test_rejects_data_that_is_not_third_order(self):
         with pytest.raises(ValueError, match=r"^expected a third-order tensor, got ndim=2$"):
             solve(np.ones((3, 4)), SolverConfig(core_dims=(1, 1, 1)))
@@ -393,13 +413,14 @@ class TestSolve:
     # every iteration at period 1 and after the third at period 3
     @pytest.mark.parametrize("period, sleeps", [(1, [1, 1, 1]), (3, [0, 0, 1])])
     def test_iteration_time_includes_its_loss_pass(self, period, sleeps, monkeypatch):
-        make = beta_ntd.solver._loss_pass
+        make = beta_ntd.solver._pass
 
         def slow(*args, **kwargs):
-            time.sleep(0.01)
+            if kwargs.get("losses"):
+                time.sleep(0.01)
             return make(*args, **kwargs)
 
-        monkeypatch.setattr(beta_ntd.solver, "_loss_pass", slow)
+        monkeypatch.setattr(beta_ntd.solver, "_pass", slow)
         x = np.random.default_rng(26).uniform(0.1, 1.0, (4, 4, 4))
         cfg = SolverConfig(core_dims=(2, 2, 2), max_iters=3, rel_tol=0.0, loss_eval_period=period)
         times = solve(x, cfg)[1].iter_times
@@ -583,7 +604,7 @@ class TestSlabs:
         # one of them, or into the data, would change it
         x, f, cfg = _instance((7, 3, 4), (3, 2, 2), beta, seed=39)
         plan = beta_ntd.solver._Plan(x, f, cfg, losses=True)
-        beta_ntd.solver._loss_pass(plan, f, beta)
+        beta_ntd.solver._pass(plan, f, losses=True)
 
         def kept():
             return [a for a in (plan.hg, plan.basis, plan.qt, plan.stat, plan.tq, x) if a is not None]
@@ -607,7 +628,7 @@ class TestSlabs:
         plan = beta_ntd.solver._Plan(x, f, cfg, losses=True)
         read = []
         plan.slabs = _Counted(plan.slabs, read)
-        beta_ntd.solver._loss_pass(plan, f, 2.0)
+        beta_ntd.solver._pass(plan, f, losses=True)
         assert len(read) == 4
         ours = update_mode_factor(x, f, 2, cfg, plan)
         assert len(read) == 4
@@ -672,24 +693,25 @@ class TestSlabs:
         # a loss pass at f leaves its T Q in the plan: mode 1 at f reads it
         # without a pass, and an update at other factors, or mode 2 at
         # another Q, makes its own pass at its own factors and equals a plan-less one
-        make, loss_pass = beta_ntd.solver._pass, beta_ntd.solver._loss_pass
+        make = beta_ntd.solver._pass
         x, f, cfg = _instance((7, 3, 4), (3, 2, 2), beta, seed=33)
         g = init_factors(x.shape, replace(cfg, seed=34))
         plan = beta_ntd.solver._Plan(x, f, cfg, losses=True)
         made_at = []  # the step state's factors at each update's pass with `plan`
 
         def counted(p, *args, **kwargs):
+            out = make(p, *args, **kwargs)
             if p is plan and not kwargs.get("losses"):
                 made_at.append((p.w, p.h, p.q, p.core))
-            return make(p, *args, **kwargs)
+            return out
 
         monkeypatch.setattr(beta_ntd.solver, "_pass", counted)
-        loss_pass(plan, f, beta)
+        make(plan, f, losses=True)
         update_mode_factor(x, f, 1, cfg, plan)
         assert made_at == []
         mixes = (1, g), (2, g), (2, FactorSet(g.w, f.h, g.q, f.core))
         for mode, h in mixes:
-            loss_pass(plan, f, beta)
+            make(plan, f, losses=True)
             ours = update_mode_factor(x, h, mode, cfg, plan)
             np.testing.assert_array_equal(ours, update_mode_factor(x, h, mode, cfg))
         assert len(made_at) == 3
@@ -710,18 +732,18 @@ class TestSlabs:
                  FactorSet(f.w, f.h, g.q, f.core), FactorSet(f.w, f.h, f.q, g.core), g]
         for h in mixes:
             for update in (1, 2, 3, "core", 3, 2):
-                beta_ntd.solver._loss_pass(plan, f, beta)
+                beta_ntd.solver._pass(plan, f, losses=True)
                 if update == "core":
                     update_core(x, FactorSet(f.w, f.h, h.q, f.core), cfg, plan)
                     np.testing.assert_array_equal(update_core(x, h, cfg, plan), update_core(x, h, cfg))
                 else:
                     ours = update_mode_factor(x, h, update, cfg, plan)
                     np.testing.assert_array_equal(ours, update_mode_factor(x, h, update, cfg))
-            beta_ntd.solver._loss_pass(plan, f, beta)
+            beta_ntd.solver._pass(plan, f, losses=True)
             for update in (3, 2):  # mode 2 right after mode 3, both at h
                 ours = update_mode_factor(x, h, update, cfg, plan)
                 np.testing.assert_array_equal(ours, update_mode_factor(x, h, update, cfg))
-        beta_ntd.solver._loss_pass(plan, f, beta)
+        beta_ntd.solver._pass(plan, f, losses=True)
         update_core(x, FactorSet(f.w, f.h, g.q, f.core), cfg, plan)
         assert plan.q is g.q and plan.at is None
         np.testing.assert_array_equal(update_mode_factor(x, f, 1, cfg, plan), update_mode_factor(x, f, 1, cfg))
@@ -733,7 +755,7 @@ class TestSlabs:
         make = beta_ntd.solver._pass
         x, f, cfg = _instance((7, 3, 4), (3, 2, 2), beta, seed=42)
         plan = beta_ntd.solver._Plan(x, f, cfg, losses=True)
-        beta_ntd.solver._loss_pass(plan, f, beta)
+        beta_ntd.solver._pass(plan, f, losses=True)
         seen = [(plan.q, plan.stat)]  # each Q of the step state and its statistic
 
         def counted(p, *args, **kwargs):
@@ -769,14 +791,14 @@ class TestSlabs:
             return out
 
         monkeypatch.setattr(beta_ntd.solver, "_pass", counted)
-        beta_ntd.solver._loss_pass(plan, f, beta)
+        beta_ntd.solver._pass(plan, f, losses=True)
         assert len(built) == 1
         g = iterate(x, f, cfg, plan)
         mode3 = (g.w, g.h, f.core)
         expected = [mode3] if beta == 2.0 else [(g.w, f.h, f.core), mode3]
         assert len(built) == 1 + len(expected)
         assert all(all(a is b for a, b in zip(made, want)) for made, want in zip(built[1:], expected))
-        beta_ntd.solver._loss_pass(plan, g, beta)
+        beta_ntd.solver._pass(plan, g, losses=True)
         assert len(built) == 2 + len(expected)
 
     def test_unclamped_beta_one_with_zeros_and_a_subnormal(self):
